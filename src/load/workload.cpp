@@ -65,6 +65,12 @@ void LoadEngine::build() {
 
   zipf_.emplace(options_.collections_per_tenant, options_.zipf_theta);
 
+  // Seeding appends to each server's WAL, which arms its checkpoint timer on
+  // the current shard. Run it on the serial shard, whose events execute
+  // alone: armed from a worker shard, the checkpoint would race the server's
+  // own handlers. In classic mode serial_shard() is 0 — nothing changes.
+  ShardGuard guard{repo_.sim().serial_shard()};
+
   // Tenant-major collections; fragment primaries and object homes
   // round-robin over the servers with a per-collection offset so load
   // spreads evenly at build time (the *traffic* skew comes from Zipf).

@@ -202,14 +202,15 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
       handoff_seq = state->last_seq();
     }
     if (handoff_seq && cursor >= *handoff_seq) break;
-    if (!state->can_serve_ops_since(cursor)) {
+    if (!state->log().can_serve_since(cursor)) {
       // The fragment is mutating faster than its retained log window; a
       // bigger membership_log_cap (or a quieter moment) is needed.
       co_return co_await abort_source(
           server, id, target,
           Failure{FailureKind::kExhausted, "op log truncated mid-migration"});
     }
-    std::vector<CollectionOp> ops = state->ops_since(cursor);
+    std::vector<CollectionOp> ops;
+    state->log().slice(cursor, ops);
     const std::uint64_t shipped_to = state->last_seq();
     co_await sim.delay(entry_cost * static_cast<std::int64_t>(ops.size()));
     if (!still_source(server, id, incarnation)) {

@@ -17,6 +17,8 @@
 // (set_log_cap), and a reader whose cursor has fallen off the retained
 // window is resynced with a full snapshot.
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -47,6 +49,70 @@ class CollectionOp {
   Kind kind_ = Kind::kAdd;
   ObjectRef ref_;
   std::uint64_t seq_ = 0;
+};
+
+/// A bounded, contiguously numbered op log: the retained history window
+/// behind delta reads and anti-entropy. Ops are numbered from 1 in append
+/// order; `last_seq` survives truncation, so a reader whose cursor has
+/// fallen below the window can tell and resync from a snapshot instead.
+/// Shared by CollectionState (CollectionOp streams) and the OR-Set hosts'
+/// outbound dot-op streams (StoreServer).
+template <typename Op>
+class BoundedLog {
+ public:
+  /// Keeps at most the `cap` most recent ops (0 = unbounded).
+  void set_cap(std::size_t cap) {
+    cap_ = cap;
+    trim();
+  }
+
+  /// Appends `op` as seq last_seq() + 1, trimming to the cap.
+  const Op& append(Op op) {
+    ops_.push_back(std::move(op));
+    ++last_seq_;
+    trim();
+    return ops_.back();
+  }
+
+  /// Highest seq ever appended (0 if none).
+  [[nodiscard]] std::uint64_t last_seq() const noexcept { return last_seq_; }
+
+  /// Highest seq no longer retained: ops floor() + 1 .. last_seq() are.
+  [[nodiscard]] std::uint64_t floor() const noexcept {
+    return last_seq_ - ops_.size();
+  }
+
+  /// True if a reader at cursor `after_seq` can catch up op by op: every op
+  /// after it is still retained, and it is not past the frontier.
+  [[nodiscard]] bool can_serve_since(std::uint64_t after_seq) const noexcept {
+    return floor() <= after_seq && after_seq <= last_seq_;
+  }
+
+  /// Replaces `out` with the ops after `after_seq` (empty at or past the
+  /// frontier), reusing its capacity. Requires can_serve_since(after_seq).
+  void slice(std::uint64_t after_seq, std::vector<Op>& out) const {
+    out.clear();
+    if (after_seq >= last_seq_) return;
+    assert(can_serve_since(after_seq) &&
+           "caller must snapshot-resync past a truncated log");
+    out.assign(ops_.begin() + static_cast<std::ptrdiff_t>(after_seq - floor()),
+               ops_.end());
+  }
+
+  /// Drops every retained op and continues numbering after `last_seq`.
+  void reset(std::uint64_t last_seq) {
+    ops_.clear();
+    last_seq_ = last_seq;
+  }
+
+ private:
+  void trim() {
+    while (cap_ != 0 && ops_.size() > cap_) ops_.pop_front();
+  }
+
+  std::deque<Op> ops_;
+  std::size_t cap_ = 0;
+  std::uint64_t last_seq_ = 0;
 };
 
 /// An ordered, duplicate-free membership list: push-back insertion,
@@ -146,35 +212,21 @@ class CollectionState {
 
   /// Highest op sequence number ever logged here (0 if none). Survives log
   /// truncation.
-  [[nodiscard]] std::uint64_t last_seq() const noexcept { return last_seq_; }
-
-  /// Bounds the op log to the most recent `cap` ops (0 = unbounded). The
-  /// log is the retained history window for delta reads and anti-entropy;
-  /// readers further behind than the window get a full snapshot instead.
-  void set_log_cap(std::size_t cap);
-
-  /// Lowest op sequence still retained (last_seq() + 1 when the log is
-  /// empty).
-  [[nodiscard]] std::uint64_t log_floor_seq() const noexcept {
-    return last_seq_ - log_.size() + 1;
+  [[nodiscard]] std::uint64_t last_seq() const noexcept {
+    return log_.last_seq();
   }
 
-  /// True if every op with seq > `after_seq` is still in the log — i.e. an
-  /// incremental catch-up from `after_seq` is possible without a snapshot.
-  [[nodiscard]] bool can_serve_ops_since(
-      std::uint64_t after_seq) const noexcept {
-    return after_seq + 1 >= log_floor_seq();
+  /// The retained op window behind delta reads, migration catch-up and
+  /// anti-entropy: a reader at cursor c catches up with
+  /// log().slice(c, out) when log().can_serve_since(c), else resyncs from a
+  /// snapshot.
+  [[nodiscard]] const BoundedLog<CollectionOp>& log() const noexcept {
+    return log_;
   }
 
-  /// Ops with seq > `after_seq`, for anti-entropy transfer and delta reads.
-  /// Requires can_serve_ops_since(after_seq).
-  [[nodiscard]] std::vector<CollectionOp> ops_since(
-      std::uint64_t after_seq) const;
-
-  /// Into-buffer variant: replaces `out` with the slice, reusing its
-  /// capacity. Hot read paths pair this with VectorPool so a steady-state
-  /// delta read allocates nothing.
-  void ops_since(std::uint64_t after_seq, std::vector<CollectionOp>& out) const;
+  /// Bounds the op log to the most recent `cap` ops (0 = unbounded).
+  /// Readers further behind than the window get a full snapshot instead.
+  void set_log_cap(std::size_t cap) { log_.set_cap(cap); }
 
   /// Replica side: applies a primary op. Ops at or below the already-applied
   /// sequence are ignored (idempotent); ops must otherwise arrive in order.
@@ -257,9 +309,7 @@ class CollectionState {
   MemberBacking* backing_ = nullptr;
   mutable std::vector<ObjectRef> scratch_;  // members() buffer when backed
   mutable bool scratch_stale_ = true;       // re-materialize scratch_?
-  std::deque<CollectionOp> log_;  // most recent ops, contiguous seqs
-  std::size_t log_cap_ = 0;       // 0 = unbounded
-  std::uint64_t last_seq_ = 0;
+  BoundedLog<CollectionOp> log_;
   std::uint64_t version_ = 0;
   std::uint64_t applied_seq_ = 0;
   std::uint64_t incarnation_ = 1;

@@ -453,6 +453,10 @@ class OrSetPullReply {
   context_cloud() const noexcept {
     return context_cloud_;
   }
+  /// Drains the op buffer, so a consumer can recycle it (VectorPool).
+  [[nodiscard]] std::vector<OrSetWireOp>&& take_ops() && {
+    return std::move(ops_);
+  }
   [[nodiscard]] std::uint64_t end_seq() const noexcept { return end_seq_; }
   [[nodiscard]] std::uint64_t incarnation() const noexcept {
     return incarnation_;
@@ -495,6 +499,9 @@ class OrSetSyncRequest {
   [[nodiscard]] CollectionId id() const noexcept { return id_; }
   [[nodiscard]] const std::vector<OrSetWireOp>& ops() const noexcept {
     return ops_;
+  }
+  [[nodiscard]] std::vector<OrSetWireOp>&& take_ops() && {
+    return std::move(ops_);
   }
   [[nodiscard]] std::uint64_t start_seq() const noexcept { return start_seq_; }
 

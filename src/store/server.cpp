@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "store/messages.hpp"
@@ -18,15 +19,15 @@ constexpr const char kCheckpointFile[] = "checkpoint";
 
 wal::WalRecord to_wal_record(CollectionId id, const CollectionOp& op,
                              std::uint64_t incarnation) {
-  wal::WalRecord rec;
-  rec.collection = id.raw();
-  rec.kind = op.kind() == CollectionOp::Kind::kRemove ? wal::WalRecord::kRemove
-                                                      : wal::WalRecord::kAdd;
-  rec.object = op.ref().id().raw();
-  rec.home = op.ref().home().raw();
-  rec.seq = op.seq();
-  rec.incarnation = incarnation;
-  return rec;
+  const bool remove = op.kind() == CollectionOp::Kind::kRemove;
+  return wal::WalRecord{
+      .collection = id.raw(),
+      .kind = remove ? wal::WalRecord::kRemove : wal::WalRecord::kAdd,
+      .object = op.ref().id().raw(),
+      .home = op.ref().home().raw(),
+      .seq = op.seq(),
+      .incarnation = incarnation,
+  };
 }
 
 CollectionOp to_collection_op(const wal::WalRecord& rec) {
@@ -42,29 +43,36 @@ CollectionOp to_collection_op(const wal::WalRecord& rec) {
 wal::WalRecord migration_record(std::uint8_t kind, CollectionId id, NodeId peer,
                                 std::uint64_t directory_epoch,
                                 std::uint64_t incarnation) {
-  wal::WalRecord rec;
-  rec.collection = id.raw();
-  rec.kind = kind;
-  rec.object = peer.raw();
-  rec.seq = directory_epoch;
-  rec.incarnation = incarnation;
-  return rec;
+  return wal::WalRecord{
+      .collection = id.raw(),
+      .kind = kind,
+      .object = peer.raw(),
+      .seq = directory_epoch,
+      .incarnation = incarnation,
+  };
 }
 
 /// OR-Set dot-op record (ReplicationMode::kOrSet): `seq` carries the dot
 /// counter and `origin` the minting replica — together the unique tag.
 wal::WalRecord orset_wal_record(CollectionId id, const crdt::DotOp& op,
                                 std::uint64_t incarnation) {
-  wal::WalRecord rec;
-  rec.collection = id.raw();
-  rec.kind = op.kind() == crdt::DotOp::Kind::kKill ? wal::WalRecord::kOrSetKill
-                                                   : wal::WalRecord::kOrSetInsert;
-  rec.object = op.element().id().raw();
-  rec.home = op.element().home().raw();
-  rec.seq = op.dot().counter();
-  rec.incarnation = incarnation;
-  rec.origin = op.dot().origin();
-  return rec;
+  const bool kill = op.kind() == crdt::DotOp::Kind::kKill;
+  return wal::WalRecord{
+      .collection = id.raw(),
+      .kind = kill ? wal::WalRecord::kOrSetKill : wal::WalRecord::kOrSetInsert,
+      .object = op.element().id().raw(),
+      .home = op.element().home().raw(),
+      .seq = op.dot().counter(),
+      .incarnation = incarnation,
+      .origin = op.dot().origin(),
+  };
+}
+
+crdt::DotOp dot_op(bool kill, ObjectRef element, std::uint64_t origin,
+                   std::uint64_t counter) {
+  return crdt::DotOp{
+      kill ? crdt::DotOp::Kind::kKill : crdt::DotOp::Kind::kInsert, element,
+      crdt::Dot{origin, counter}};
 }
 
 msg::OrSetWireOp to_wire(const crdt::DotOp& op) {
@@ -75,10 +83,8 @@ msg::OrSetWireOp to_wire(const crdt::DotOp& op) {
 }
 
 crdt::DotOp from_wire(const msg::OrSetWireOp& op) {
-  return crdt::DotOp{op.kind() == msg::OrSetWireOp::kKill
-                         ? crdt::DotOp::Kind::kKill
-                         : crdt::DotOp::Kind::kInsert,
-                     op.element(), crdt::Dot{op.origin(), op.counter()}};
+  return dot_op(op.kind() == msg::OrSetWireOp::kKill, op.element(),
+                op.origin(), op.counter());
 }
 
 wal::CollectionImage image_of(CollectionId id, const CollectionState& state) {
@@ -95,11 +101,417 @@ wal::CollectionImage image_of(CollectionId id, const CollectionState& state) {
   return coll;
 }
 
+/// Reinstates a checkpointed or streamed image: members, cursors and
+/// incarnation verbatim (the op log restarts empty).
+void restore_image(CollectionState& state, const wal::CollectionImage& image) {
+  std::vector<ObjectRef> members;
+  members.reserve(image.members.size());
+  for (const auto& [object, home] : image.members) {
+    members.emplace_back(ObjectId{object}, NodeId{home});
+  }
+  state.restore(std::move(members), image.version, image.last_seq,
+                image.applied_seq, image.incarnation);
+}
+
 Failure wrong_epoch(std::uint64_t directory_epoch) {
   return Failure{FailureKind::kWrongEpoch, std::to_string(directory_epoch)};
 }
 
+Failure recovering() {
+  return Failure{FailureKind::kUnreachable, "node recovering"};
+}
+
+Failure node_crashed() {
+  return Failure{FailureKind::kNodeCrashed, "node crashed"};
+}
+
+Failure not_hosted() {
+  return Failure{FailureKind::kNotFound, "collection not hosted"};
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Anti-entropy (DESIGN.md decisions 9 and 16): one pull driver, push driver
+// and serving path over each fragment's BoundedLog. A merge policy supplies
+// every difference between the modes: op and message types, snapshot form,
+// apply rule, stream check, RPC names, pull timeout and metric names.
+
+/// Home-primary replication: replicas apply the contiguous prefix of the
+/// primary's CollectionOp stream, or install a whole-membership snapshot when
+/// their cursor — the CollectionState's (applied_seq, incarnation), which
+/// checkpoints carry — falls off the primary's log or names another stream.
+struct StoreServer::Contiguous {
+  using Op = CollectionOp;
+  using PullReply = msg::PullReply;
+  using SyncRequest = msg::SyncRequest;
+  static constexpr const char* kPullMethod = "coll.pull";
+  static constexpr const char* kSyncMethod = "coll.sync";
+  static constexpr const char* kPullRounds = "store.replica.pull_rounds";
+  static constexpr const char* kPullFailures = "store.replica.pull_failures";
+  static constexpr const char* kPullApplied = "store.replica.pull_ops_applied";
+  static constexpr const char* kPushes = "store.server.pushes";
+  static constexpr const char* kPushSyncs = "store.replica.push_syncs";
+  static constexpr const char* kPushApplied = "store.replica.push_ops_applied";
+  static constexpr const char* kPullsServed = "store.server.pulls_served";
+  static constexpr const char* kOpsShipped = "store.server.pull_ops_shipped";
+
+  static const BoundedLog<Op>& log(const Hosted& entry) {
+    return entry.state.log();
+  }
+  static Cursor cursor(const Hosted& entry, NodeId /*peer*/) {
+    return Cursor{entry.state.applied_seq(), entry.state.incarnation()};
+  }
+  static void advance(Hosted&, NodeId, const PullReply&) {}
+  static constexpr int kPullTimeoutIntervals = 0;  // the RPC default
+  static ObjectRef ref(const Op& op) { return op.ref(); }
+  static bool hosts(const Hosted& /*entry*/) { return true; }
+  /// A sync batch or ack on another incarnation's stream (amnesia on either
+  /// side) does not continue ours: the batch is not applied, and the pusher
+  /// gives up until pull anti-entropy snapshot-resyncs the replica.
+  template <class Message>
+  static bool same_stream(const Hosted& entry, const Message& message) {
+    return message.incarnation() == entry.state.incarnation();
+  }
+  /// Applies the contiguous prefix past applied_seq. A gap (a push
+  /// overtaken by loss, or a racing pull) stops it: the pusher or the next
+  /// pull resends from applied_seq.
+  static void apply(StoreServer& server, Hosted& entry,
+                    const std::vector<Op>& ops, const char* applied) {
+    for (const CollectionOp& op : ops) {
+      if (op.seq() <= entry.state.applied_seq()) continue;
+      if (op.seq() != entry.state.applied_seq() + 1) break;
+      entry.state.apply(op);
+      server.metrics_.add(applied);
+    }
+  }
+
+  /// Serving side: members and cursor are read after the ship-cost delay,
+  /// at the instant the reply leaves.
+  static Task<Result<Payload>> serve_snapshot(StoreServer& server,
+                                              CollectionId id,
+                                              std::uint64_t epoch,
+                                              const Hosted& entry) {
+    Result<Hosted*> shipped = co_await server.ship(
+        id, epoch, entry.state.size(), "store.server.pull_snapshots",
+        "store.server.snapshot_members_shipped");
+    if (!shipped) co_return std::move(shipped).error();
+    const CollectionState& state = shipped.value()->state;
+    co_return Payload{PullReply::snapshot(state.members(), state.version(),
+                                          state.last_seq(),
+                                          state.incarnation())};
+  }
+  static PullReply delta_reply(const Hosted& entry, std::vector<Op> ops) {
+    return PullReply{std::move(ops), entry.state.incarnation()};
+  }
+  /// Puller side: install the membership wholesale and resume op by op
+  /// from its seq. Nothing of it is in the WAL, so checkpoint soon: a crash
+  /// must not set this replica all the way back.
+  static void merge_snapshot(StoreServer& server, Hosted& entry,
+                             PullReply& reply) {
+    server.metrics_.add("store.replica.snapshot_installs");
+    entry.state.install(std::move(reply).take_members(), reply.version(),
+                        reply.seq());
+    entry.state.set_incarnation(reply.incarnation());
+    server.arm_checkpoint();
+  }
+  static SyncRequest sync_request(CollectionId id, const Hosted& entry,
+                                  std::vector<Op> ops,
+                                  std::uint64_t /*after_seq*/) {
+    return SyncRequest{id, std::move(ops), entry.state.incarnation()};
+  }
+  static msg::SyncReply ack(const Hosted& entry, const SyncRequest& /*req*/) {
+    return msg::SyncReply{entry.state.applied_seq(),
+                          entry.state.incarnation()};
+  }
+};
+
+/// OR-Set replication: each host logs only its *local* dot ops and pulls
+/// every peer's log with a cursor of its own. Dot ops are idempotent, so they
+/// apply in any order; a cursor the peer cannot serve gets its whole state,
+/// merged with OrSet::join.
+struct StoreServer::DotOps {
+  using Op = msg::OrSetWireOp;
+  using PullReply = msg::OrSetPullReply;
+  using SyncRequest = msg::OrSetSyncRequest;
+  static constexpr const char* kPullMethod = "orset.pull";
+  static constexpr const char* kSyncMethod = "orset.sync";
+  static constexpr const char* kPullRounds = "store.orset.pull_rounds";
+  static constexpr const char* kPullFailures = "store.orset.pull_failures";
+  static constexpr const char* kPullApplied = "store.orset.pull_ops_applied";
+  static constexpr const char* kPushes = "store.orset.pushes";
+  static constexpr const char* kPushSyncs = "store.orset.push_syncs";
+  static constexpr const char* kPushApplied = "store.orset.push_ops_applied";
+  static constexpr const char* kPullsServed = "store.orset.pulls_served";
+  static constexpr const char* kOpsShipped = "store.orset.pull_entries_shipped";
+
+  static const BoundedLog<Op>& log(const Hosted& entry) { return entry.dots; }
+  static Cursor cursor(Hosted& entry, NodeId peer) {
+    return entry.cursors[peer];
+  }
+  static void advance(Hosted& entry, NodeId peer, const PullReply& reply) {
+    entry.cursors[peer] = Cursor{reply.end_seq(), reply.incarnation()};
+  }
+  /// Bounded: a partition cutting the link mid-pull drops the message, and
+  /// fast-fail only covers dead-at-send paths — without this the loop would
+  /// sit out the RPC default. 4x the interval leaves room for ship cost.
+  static constexpr int kPullTimeoutIntervals = 4;
+  static ObjectRef ref(const Op& op) { return op.element(); }
+  /// Only a fragment created as an OR-Set holds dots.
+  static bool hosts(const Hosted& entry) { return entry.orset != nullptr; }
+  /// Dot ops apply anywhere, whatever stream they came from.
+  template <class Message>
+  static bool same_stream(const Hosted& /*entry*/, const Message& /*m*/) {
+    return true;
+  }
+  static void apply(StoreServer& server, Hosted& entry,
+                    const std::vector<Op>& ops, const char* applied) {
+    for (const msg::OrSetWireOp& wire : ops) {
+      const crdt::DotOp op = from_wire(wire);
+      if (entry.orset->apply(op)) {
+        server.orset_wal_append(entry, op);
+        server.metrics_.add(applied);
+      }
+    }
+  }
+
+  /// Serving side: every live (element, dot) plus the dot context, captured
+  /// before the ship-cost delay.
+  static Task<Result<Payload>> serve_snapshot(StoreServer& server,
+                                              CollectionId id,
+                                              std::uint64_t epoch,
+                                              const Hosted& entry) {
+    const crdt::OrSet& set = *entry.orset;
+    std::vector<Op> live;
+    const std::vector<crdt::DotOp> exported = set.export_live();
+    live.reserve(exported.size());
+    for (const crdt::DotOp& op : exported) live.push_back(to_wire(op));
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> versions(
+        set.context().vector().begin(), set.context().vector().end());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> cloud;
+    cloud.reserve(set.context().cloud().size());
+    for (const crdt::Dot dot : set.context().cloud()) {
+      cloud.emplace_back(dot.origin(), dot.counter());
+    }
+    PullReply reply = PullReply::snapshot(
+        std::move(live), std::move(versions), std::move(cloud),
+        entry.dots.last_seq(), entry.state.incarnation());
+    Result<Hosted*> shipped = co_await server.ship(
+        id, epoch, reply.entry_count(), "store.orset.pull_snapshots",
+        "store.orset.pull_entries_shipped");
+    if (!shipped) co_return std::move(shipped).error();
+    co_return Payload{std::move(reply)};
+  }
+  static PullReply delta_reply(const Hosted& entry, std::vector<Op> ops) {
+    return PullReply::delta(std::move(ops), entry.dots.last_seq(),
+                            entry.state.incarnation());
+  }
+  /// Puller side: join() expresses every state change as a dot op, which is
+  /// WALed like any remote delivery.
+  static void merge_snapshot(StoreServer& server, Hosted& entry,
+                             PullReply& reply) {
+    server.metrics_.add("store.orset.snapshot_joins");
+    const crdt::DotContext context = crdt::DotContext::from_parts(
+        reply.context_vector(), reply.context_cloud());
+    std::vector<crdt::DotOp> live;
+    live.reserve(reply.ops().size());
+    for (const msg::OrSetWireOp& op : reply.ops()) {
+      live.push_back(from_wire(op));
+    }
+    const std::vector<crdt::DotOp> applied = entry.orset->join(context, live);
+    for (const crdt::DotOp& op : applied) server.orset_wal_append(entry, op);
+    server.metrics_.add(kPullApplied, applied.size());
+  }
+
+  /// Push side: the seq range exists only to drive the pusher's ack cursor;
+  /// the receiver applies everything and acks the last seq the batch
+  /// covered (start_seq - 1 for an empty batch — nothing new).
+  static SyncRequest sync_request(CollectionId id, const Hosted& /*entry*/,
+                                  std::vector<Op> ops,
+                                  std::uint64_t after_seq) {
+    return SyncRequest{id, std::move(ops), after_seq + 1};
+  }
+  static msg::SyncReply ack(const Hosted& entry, const SyncRequest& req) {
+    const std::uint64_t acked =
+        req.start_seq() + req.ops().size() -
+        (req.start_seq() == 0 && req.ops().empty() ? 0 : 1);
+    return msg::SyncReply{acked, entry.state.incarnation()};
+  }
+};
+
+template <class P>
+Task<void> StoreServer::pull_loop(CollectionId id) {
+  std::optional<Duration> timeout;  // unset: the RPC default
+  if (P::kPullTimeoutIntervals > 0) {
+    timeout = options_.pull_interval * P::kPullTimeoutIntervals;
+  }
+  for (;;) {
+    co_await net_.sim().delay(options_.pull_interval);
+    if (stopping_) co_return;
+    if (!serving_) continue;  // recovering: resume pulling afterwards
+    Hosted* entry = find_entry(id);
+    if (entry == nullptr) co_return;  // unhosted; stop the daemon
+    // Peers are only ever appended (add_orset_peer may run under a co_await
+    // below): each round visits the ones known when it starts.
+    const std::size_t peers = entry->pull_from.size();
+    for (std::size_t i = 0; i < peers; ++i) {
+      const NodeId peer = entry->pull_from[i];
+      const Cursor cursor = P::cursor(*entry, peer);
+      metrics_.add(P::kPullRounds);
+      const std::uint64_t epoch = epoch_;
+      auto reply = co_await net_.call_typed<typename P::PullReply>(
+          node_, peer, P::kPullMethod,
+          msg::PullRequest{id, cursor.after_seq, cursor.incarnation},
+          timeout);
+      if (epoch != epoch_) break;  // crashed meanwhile: this round is stale
+      if (!reply) {
+        metrics_.add(P::kPullFailures);
+        continue;  // peer unreachable (partition): retry next round
+      }
+      typename P::PullReply& r = reply.value();
+      if (r.is_snapshot()) {
+        P::merge_snapshot(*this, *entry, r);
+      } else {
+        Result<Hosted*> applied =
+            co_await apply_ops<P>(id, epoch, r.ops(), P::kPullApplied);
+        if (!applied) break;
+        entry = applied.value();
+        VectorPool<typename P::Op>::release(std::move(r).take_ops());
+      }
+      P::advance(*entry, peer, r);
+    }
+  }
+}
+
+template <class P>
+void StoreServer::trigger_pushes(CollectionId id) {
+  if (!options_.push_replication || !serving_) return;
+  Hosted& entry = hosted(id);
+  for (Hosted::PushTarget& target : entry.push_targets) {
+    if (!target.in_flight && target.acked_seq < P::log(entry).last_seq()) {
+      target.in_flight = true;
+      net_.sim().spawn(push_to<P>(id, target));
+    }
+  }
+}
+
+template <class P>
+Task<void> StoreServer::push_to(CollectionId id, Hosted::PushTarget& target) {
+  Hosted& entry = hosted(id);
+  const BoundedLog<typename P::Op>& log = P::log(entry);
+  const std::uint64_t epoch = epoch_;
+  while (!stopping_ && target.acked_seq < log.last_seq()) {
+    // Below the retained window: the target's next pull snapshots instead.
+    if (!log.can_serve_since(target.acked_seq)) break;
+    const std::uint64_t before = target.acked_seq;
+    metrics_.add(P::kPushes);
+    std::vector<typename P::Op> ops = VectorPool<typename P::Op>::acquire();
+    log.slice(before, ops);
+    auto reply = co_await net_.call_typed<msg::SyncReply>(
+        node_, target.node, P::kSyncMethod,
+        P::sync_request(id, entry, std::move(ops), before));
+    // Amnesia crash during the push: the wipe already reset the target's
+    // cursor and in_flight marker — touch nothing.
+    if (epoch != epoch_) co_return;
+    // Unreachable, or acked on another stream: give up until the next
+    // mutation; pull anti-entropy repairs.
+    if (!reply || !P::same_stream(entry, reply.value())) break;
+    target.acked_seq = reply.value().applied_seq();
+    if (target.acked_seq <= before) break;  // not advancing (gap?)
+  }
+  target.in_flight = false;
+}
+
+template <class P>
+Task<Result<StoreServer::Hosted*>> StoreServer::apply_ops(
+    CollectionId id, std::uint64_t epoch,
+    const std::vector<typename P::Op>& ops, const char* applied) {
+  const Hosted* backed = find_entry(id);
+  if (backed != nullptr && backed->backing != nullptr && !ops.empty()) {
+    // Block engine: page in the buckets the ops touch before applying.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> refs;
+    refs.reserve(ops.size());
+    for (const typename P::Op& op : ops) {
+      refs.emplace_back(P::ref(op).id().raw(), P::ref(op).home().raw());
+    }
+    co_await engine_->fault_many(backed->backing->raw_id(), std::move(refs));
+  }
+  Result<Hosted*> entry = resolve(id, epoch, /*retired_fails=*/true);
+  if (entry) P::apply(*this, *entry.value(), ops, applied);
+  co_return entry;
+}
+
+template <class P>
+Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
+                                                Payload request) {
+  const auto req = payload_cast<msg::PullRequest>(std::move(request));
+  auto guarded = co_await guard(req.id(), /*admit=*/false);
+  if (!guarded) co_return std::move(guarded).error();
+  const std::uint64_t epoch = guarded.value().epoch;
+  const Hosted& entry = *guarded.value().entry;
+  if (!P::hosts(entry)) co_return not_hosted();
+  metrics_.add(P::kPullsServed);
+  // A cursor from another incarnation (amnesia on either side) or outside
+  // the retained window cannot catch up op by op: ship the whole state.
+  const BoundedLog<typename P::Op>& log = P::log(entry);
+  if (req.incarnation() != entry.state.incarnation() ||
+      !log.can_serve_since(req.after_seq())) {
+    co_return co_await P::serve_snapshot(*this, req.id(), epoch, entry);
+  }
+  std::vector<typename P::Op> ops = VectorPool<typename P::Op>::acquire();
+  log.slice(req.after_seq(), ops);
+  typename P::PullReply reply = P::delta_reply(entry, std::move(ops));
+  Result<Hosted*> shipped = co_await ship(
+      req.id(), epoch, reply.ops().size(), nullptr, P::kOpsShipped);
+  if (!shipped) co_return std::move(shipped).error();
+  co_return Payload{std::move(reply)};
+}
+
+template <class P>
+Task<Result<Payload>> StoreServer::handle_sync(NodeId /*from*/,
+                                                Payload request) {
+  auto req = payload_cast<typename P::SyncRequest>(std::move(request));
+  auto guarded = co_await guard(req.id(), /*admit=*/false);
+  if (!guarded) co_return std::move(guarded).error();
+  Hosted* entry = guarded.value().entry;
+  if (!P::hosts(*entry)) co_return not_hosted();
+  metrics_.add(P::kPushSyncs);
+  // A batch on another stream is not applied: the ack carries our cursor.
+  if (P::same_stream(*entry, req)) {
+    Result<Hosted*> applied = co_await apply_ops<P>(
+        req.id(), guarded.value().epoch, req.ops(), P::kPushApplied);
+    if (!applied) co_return std::move(applied).error();
+    entry = applied.value();
+  }
+  const msg::SyncReply ack = P::ack(*entry, req);
+  VectorPool<typename P::Op>::release(std::move(req).take_ops());
+  co_return Payload{ack};
+}
+
+void StoreServer::orset_wal_append(Hosted& entry, const crdt::DotOp& op) {
+  if (!options_.durability.enabled || wal_suspended_) return;
+  // No arm_checkpoint(): checkpoints cannot capture OR-Set state (the dot
+  // context has no image form yet), so the WAL is the fragment's only
+  // durable history and is never truncated while it is hosted here.
+  last_wal_index_ = wal_->append(
+      orset_wal_record(entry.state.id(), op, entry.state.incarnation()));
+}
+
+bool StoreServer::write_member(Hosted& entry, bool add, ObjectRef ref) {
+  if (entry.orset == nullptr) {
+    return add ? entry.state.add(ref) : entry.state.remove(ref);
+  }
+  // OR-Set multi-master write: apply locally (minting or killing dots) and
+  // log the resulting ops for anti-entropy — no coordination with peers,
+  // which is exactly why the write survives a partition.
+  const std::vector<crdt::DotOp> ops =
+      add ? entry.orset->add(ref) : entry.orset->remove(ref);
+  for (const crdt::DotOp& op : ops) {
+    entry.dots.append(to_wire(op));
+    orset_wal_append(entry, op);
+  }
+  return !ops.empty();
+}
 
 StoreServer::StoreServer(RpcNetwork& net, NodeId node,
                          StoreServerOptions options)
@@ -131,211 +543,203 @@ StoreServer::StoreServer(RpcNetwork& net, NodeId node,
 void StoreServer::register_handlers() {
   // All handlers are registered up front (before any traffic), so the
   // RpcNetwork handler table never rehashes under a suspended coroutine.
-  auto bind = [this](auto method) {
-    return [this, method](NodeId from, Payload request) {
-      return (this->*method)(from, std::move(request));
-    };
+  using Handler = Task<Result<Payload>> (StoreServer::*)(NodeId, Payload);
+  const std::pair<const char*, Handler> handlers[] = {
+      {"store.fetch", &StoreServer::handle_fetch},
+      {"store.fetch_batch", &StoreServer::handle_fetch_batch},
+      {"store.put", &StoreServer::handle_put},
+      {"coll.snapshot", &StoreServer::handle_snapshot},
+      {"coll.read_delta", &StoreServer::handle_read_delta},
+      {"coll.membership", &StoreServer::handle_membership},
+      {"coll.size", &StoreServer::handle_size},
+      {"coll.freeze", &StoreServer::handle_freeze},
+      {"coll.pin", &StoreServer::handle_pin},
+      {Contiguous::kPullMethod, &StoreServer::handle_pull<Contiguous>},
+      {DotOps::kPullMethod, &StoreServer::handle_pull<DotOps>},
+      {DotOps::kSyncMethod, &StoreServer::handle_sync<DotOps>},
+      {Contiguous::kSyncMethod, &StoreServer::handle_sync<Contiguous>},
   };
-  net_.register_handler(node_, "store.fetch", bind(&StoreServer::handle_fetch));
-  net_.register_handler(node_, "store.fetch_batch",
-                        bind(&StoreServer::handle_fetch_batch));
-  net_.register_handler(node_, "store.put", bind(&StoreServer::handle_put));
-  net_.register_handler(node_, "coll.snapshot",
-                        bind(&StoreServer::handle_snapshot));
-  net_.register_handler(node_, "coll.read_delta",
-                        bind(&StoreServer::handle_read_delta));
-  net_.register_handler(node_, "coll.membership",
-                        bind(&StoreServer::handle_membership));
-  net_.register_handler(node_, "coll.size", bind(&StoreServer::handle_size));
-  net_.register_handler(node_, "coll.freeze",
-                        bind(&StoreServer::handle_freeze));
-  net_.register_handler(node_, "coll.pin", bind(&StoreServer::handle_pin));
-  net_.register_handler(node_, "coll.pull", bind(&StoreServer::handle_pull));
-  net_.register_handler(node_, "orset.pull",
-                        bind(&StoreServer::handle_orset_pull));
-  net_.register_handler(node_, "orset.sync",
-                        bind(&StoreServer::handle_orset_sync));
-  net_.register_handler(
-      node_, "coll.sync",
-      [this](NodeId, Payload request) -> Task<Result<Payload>> {
-        auto req = payload_cast<msg::SyncRequest>(std::move(request));
-        if (!serving_) {
-          co_return Failure{FailureKind::kUnreachable, "node recovering"};
-        }
-        const std::uint64_t epoch = epoch_;
-        co_await net_.sim().delay(options_.membership_latency);
-        if (epoch != epoch_) {
-          co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-        }
-        Hosted* entry = find_entry(req.id());
-        if (entry == nullptr) {
-          co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-        }
-        if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-        CollectionState* state = &entry->state;
-        metrics_.add("store.replica.push_syncs");
-        // An incarnation mismatch (one side recovered from amnesia) means
-        // the ops belong to a different sequence stream: apply nothing and
-        // report our incarnation so the primary stops pushing; pull
-        // anti-entropy snapshot-resyncs us.
-        if (req.incarnation() == state->incarnation()) {
-          if (engine_ != nullptr && !req.ops().empty()) {
-            co_await fault_ops(req.id(), req.ops());
-            if (epoch != epoch_) {
-              co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-            }
-            if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-          }
-          // Apply the contiguous prefix; a gap (push overtaken by loss)
-          // leaves applied_seq behind and the primary (or pull) resends
-          // from there.
-          for (const CollectionOp& op : req.ops()) {
-            if (op.seq() <= state->applied_seq()) continue;
-            if (op.seq() != state->applied_seq() + 1) break;
-            state->apply(op);
-            metrics_.add("store.replica.push_ops_applied");
-          }
-        }
-        VectorPool<CollectionOp>::release(std::move(req).take_ops());
-        co_return Payload{
-            msg::SyncReply{state->applied_seq(), state->incarnation()}};
-      });
+  for (const auto& [method, handler] : handlers) {
+    net_.register_handler(
+        node_, method, [this, handler](NodeId from, Payload request) {
+          return (this->*handler)(from, std::move(request));
+        });
+  }
+}
+
+StoreServer::Hosted& StoreServer::emplace_entry(CollectionId id) {
+  auto [it, inserted] = collections_.emplace(id, std::make_unique<Hosted>(id));
+  assert(inserted && "collection already hosted here");
+  it->second->unfrozen = std::make_unique<Gate>(net_.sim(), /*open=*/true);
+  return *it->second;
 }
 
 CollectionState& StoreServer::host_primary(CollectionId id) {
-  auto entry = std::make_unique<Hosted>(id);
-  entry->primary = NodeId::invalid();
-  entry->unfrozen = std::make_unique<Gate>(net_.sim(), /*open=*/true);
-  entry->state.set_log_cap(options_.membership_log_cap);
-  auto [it, inserted] = collections_.emplace(id, std::move(entry));
-  assert(inserted && "collection already hosted here");
-  install_wal_observer(*it->second);
-  attach_backing(id, *it->second);
-  return it->second->state;
+  Hosted& entry = emplace_entry(id);
+  entry.state.set_log_cap(options_.membership_log_cap);
+  if (options_.durability.enabled) {
+    // WAL hook: every logged op (mutation, replica apply) is appended.
+    CollectionState* state = &entry.state;
+    state->set_op_observer([this, state](const CollectionOp& op) {
+      if (wal_suspended_) return;  // recovery replay: already on disk
+      last_wal_index_ =
+          wal_->append(to_wal_record(state->id(), op, state->incarnation()));
+      arm_checkpoint();
+    });
+  }
+  if (engine_ != nullptr) {
+    // Block engine: the fragment's members live in its paged buckets.
+    entry.backing = std::make_unique<BlockBacking>(*engine_, id);
+    entry.state.set_backing(entry.backing.get());
+  }
+  return entry.state;
 }
 
 CollectionState& StoreServer::host_replica(CollectionId id, NodeId primary) {
-  auto entry = std::make_unique<Hosted>(id);
-  entry->primary = primary;
-  entry->unfrozen = std::make_unique<Gate>(net_.sim(), /*open=*/true);
-  entry->state.set_log_cap(options_.membership_log_cap);
-  auto [it, inserted] = collections_.emplace(id, std::move(entry));
-  assert(inserted && "collection already hosted here");
-  install_wal_observer(*it->second);
-  attach_backing(id, *it->second);
-  net_.sim().spawn(pull_loop(id, primary));
-  return it->second->state;
+  CollectionState& state = host_primary(id);
+  Hosted& entry = hosted(id);
+  entry.primary = primary;
+  entry.pull_from.push_back(primary);
+  net_.sim().spawn(pull_loop<Contiguous>(id));
+  return state;
 }
 
 crdt::OrSet& StoreServer::host_orset(CollectionId id) {
-  auto entry = std::make_unique<Hosted>(id);
-  // Every OR-Set host is write-accepting: primary stays invalid, so the
-  // mutation handler's replica rejection never fires and crash recovery
-  // treats the fragment as locally authoritative.
-  entry->primary = NodeId::invalid();
-  entry->unfrozen = std::make_unique<Gate>(net_.sim(), /*open=*/true);
-  entry->orset = std::make_unique<crdt::OrSet>(id);
-  entry->orset->set_origin(
-      crdt::make_origin(node_.raw(), entry->state.incarnation()));
-  auto [it, inserted] = collections_.emplace(id, std::move(entry));
-  assert(inserted && "collection already hosted here");
-  // No CollectionState op observer: OR-Set WAL appends are explicit
-  // (orset_wal_append), because remote dot ops must be logged too.
-  net_.sim().spawn(orset_pull_loop(id));
-  return *it->second->orset;
+  // Every OR-Set host is write-accepting: primary stays invalid, so crash
+  // recovery treats the fragment as locally authoritative. No op observer:
+  // OR-Set WAL appends are explicit, as remote dot ops are logged too.
+  Hosted& entry = emplace_entry(id);
+  entry.orset = std::make_unique<crdt::OrSet>(id);
+  entry.orset->set_origin(
+      crdt::make_origin(node_.raw(), entry.state.incarnation()));
+  entry.dots.set_cap(options_.membership_log_cap);
+  net_.sim().spawn(pull_loop<DotOps>(id));
+  return *entry.orset;
 }
 
 void StoreServer::add_orset_peer(CollectionId id, NodeId peer) {
   Hosted& entry = hosted(id);
   assert(entry.orset != nullptr && "peer wiring requires OR-Set hosting");
-  if (std::find(entry.orset_peers.begin(), entry.orset_peers.end(), peer) !=
-      entry.orset_peers.end()) {
-    return;
+  if (std::find(entry.pull_from.begin(), entry.pull_from.end(), peer) ==
+      entry.pull_from.end()) {
+    entry.pull_from.push_back(peer);
+    if (options_.push_replication) entry.push_targets.emplace_back(peer);
   }
-  entry.orset_peers.push_back(peer);
-  if (options_.push_replication) entry.push_targets.emplace_back(peer);
 }
 
 const crdt::OrSet* StoreServer::orset_state(CollectionId id) const {
-  const auto it = collections_.find(id);
-  return it == collections_.end() ? nullptr : it->second->orset.get();
+  const Hosted* entry = find_entry(id);
+  return entry == nullptr ? nullptr : entry->orset.get();
 }
 
 bool StoreServer::seed_orset_member(CollectionId id, ObjectRef ref) {
   Hosted& entry = hosted(id);
   assert(entry.orset != nullptr && "seeding requires OR-Set hosting");
-  const std::vector<crdt::DotOp> ops = entry.orset->add(ref);
-  for (const crdt::DotOp& op : ops) orset_append_local(entry, op);
-  return !ops.empty();
+  return write_member(entry, /*add=*/true, ref);
 }
 
 CollectionState* StoreServer::collection(CollectionId id) {
-  const auto it = collections_.find(id);
-  return it == collections_.end() ? nullptr : &it->second->state;
+  Hosted* entry = find_entry(id);
+  return entry == nullptr ? nullptr : &entry->state;
 }
 
 const CollectionState* StoreServer::collection(CollectionId id) const {
-  const auto it = collections_.find(id);
-  return it == collections_.end() ? nullptr : &it->second->state;
-}
-
-bool StoreServer::is_replica(CollectionId id) const {
-  const auto it = collections_.find(id);
-  return it != collections_.end() && it->second->primary.valid();
+  const Hosted* entry = find_entry(id);
+  return entry == nullptr ? nullptr : &entry->state;
 }
 
 StoreServer::Hosted& StoreServer::hosted(CollectionId id) {
-  const auto it = collections_.find(id);
-  assert(it != collections_.end());
-  return *it->second;
+  Hosted* entry = find_entry(id);
+  assert(entry != nullptr);
+  return *entry;
 }
 
-StoreServer::Hosted* StoreServer::find_entry(CollectionId id) {
+StoreServer::Hosted* StoreServer::find_entry(CollectionId id) const {
   const auto it = collections_.find(id);
   return it == collections_.end() ? nullptr : it->second.get();
+}
+
+Result<StoreServer::Hosted*> StoreServer::resolve(CollectionId id,
+                                                  std::uint64_t epoch,
+                                                  bool retired_fails) {
+  if (epoch != epoch_) return node_crashed();
+  Hosted* entry = find_entry(id);
+  if (entry == nullptr) return not_hosted();
+  if (retired_fails && entry->retired) return wrong_epoch(entry->retired_epoch);
+  return entry;
+}
+
+Task<Result<StoreServer::Guarded>> StoreServer::guard(CollectionId id,
+                                                      bool admit) {
+  if (!serving_) co_return recovering();
+  const std::uint64_t epoch = epoch_;
+  AdmissionTicket ticket;
+  if (admit && admission_.enabled()) {
+    ticket = co_await admission_.admit(tenant_of(id));
+    if (epoch != epoch_) co_return node_crashed();
+    if (!ticket.admitted()) {
+      co_return Failure{FailureKind::kOverloaded, "admission queue full"};
+    }
+  }
+  co_await net_.sim().delay(options_.membership_latency);
+  Result<Hosted*> entry = resolve(id, epoch, /*retired_fails=*/true);
+  if (!entry) co_return std::move(entry).error();
+  co_return Guarded{entry.value(), epoch, std::move(ticket)};
+}
+
+Task<Result<StoreServer::Hosted*>> StoreServer::ship(CollectionId id,
+                                                     std::uint64_t epoch,
+                                                     std::size_t entries,
+                                                     const char* event,
+                                                     const char* shipped) {
+  const Duration cost =
+      options_.membership_entry_cost * static_cast<std::int64_t>(entries);
+  if (event != nullptr) metrics_.add(event);
+  metrics_.add(shipped, entries);
+  metrics_.add("store.server.ship_cost_ns",
+               static_cast<std::uint64_t>(cost.count_nanos()));
+  co_await net_.sim().delay(cost);
+  co_return resolve(id, epoch, /*retired_fails=*/false);
 }
 
 // ---------------------------------------------------------------------------
 // Live fragment migration (src/placement, DESIGN.md decision 12)
 
 bool StoreServer::hosts_primary(CollectionId id) const {
-  const auto it = collections_.find(id);
-  return it != collections_.end() && !it->second->primary.valid() &&
-         !it->second->retired;
+  const Hosted* entry = find_entry(id);
+  return entry != nullptr && !entry->primary.valid() && !entry->retired;
 }
 
 bool StoreServer::is_retired(CollectionId id) const {
-  const auto it = collections_.find(id);
-  return it != collections_.end() && it->second->retired;
+  const Hosted* entry = find_entry(id);
+  return entry != nullptr && entry->retired;
 }
 
 bool StoreServer::migration_blocked(CollectionId id) const {
-  const auto it = collections_.find(id);
-  if (it == collections_.end()) return true;
-  const Hosted& entry = *it->second;
+  const Hosted* entry = find_entry(id);
   // OR-Set fragments are multi-master: there is no single authority to move,
   // so migration is meaningless (and permanently refused) for them.
-  return entry.retired || entry.frozen_by != 0 || entry.pin_count > 0 ||
-         !entry.deferred_removes.empty() || entry.handoff_target.valid() ||
-         !entry.push_targets.empty() || entry.orset != nullptr;
+  return entry == nullptr || entry->retired || entry->frozen_by != 0 ||
+         entry->pin_count > 0 || !entry->deferred_removes.empty() ||
+         entry->handoff_target.valid() || !entry->push_targets.empty() ||
+         entry->orset != nullptr;
 }
 
 StoreServer::FragmentLoad StoreServer::fragment_load(CollectionId id) const {
   FragmentLoad load;
-  const auto it = collections_.find(id);
-  if (it == collections_.end()) return load;
-  const Hosted& entry = *it->second;
-  load.reads = entry.reads;
-  load.ops = entry.ops;
-  load.reads_by_node.assign(entry.reads_by_node.begin(),
-                            entry.reads_by_node.end());
+  const Hosted* entry = find_entry(id);
+  if (entry == nullptr) return load;
+  load.reads = entry->reads;
+  load.ops = entry->ops;
+  load.reads_by_node.assign(entry->reads_by_node.begin(),
+                            entry->reads_by_node.end());
   return load;
 }
 
 wal::CollectionImage StoreServer::export_image(CollectionId id) const {
-  const auto it = collections_.find(id);
-  assert(it != collections_.end() && "exporting an unhosted fragment");
-  return image_of(id, it->second->state);
+  const Hosted* entry = find_entry(id);
+  assert(entry != nullptr && "exporting an unhosted fragment");
+  return image_of(id, entry->state);
 }
 
 void StoreServer::log_migration_begin(CollectionId id, NodeId target) {
@@ -363,12 +767,9 @@ void StoreServer::retire_collection(CollectionId id, NodeId target,
   assert(!entry.primary.valid() && "only fragment primaries migrate");
   entry.retired = true;
   entry.retired_epoch = directory_epoch;
-  entry.handoff_target = NodeId::invalid();
   // Waiters on the freeze gate resume and hit the retired check; pins and
   // their deferred ghosts moved with the authority.
-  release_freeze(entry);
-  entry.pin_count = 0;
-  entry.deferred_removes.clear();
+  release_locks(entry);
   if (options_.durability.enabled) {
     last_wal_index_ = wal_->append(
         migration_record(wal::WalRecord::kMigrationDone, id, target,
@@ -389,17 +790,11 @@ CollectionState& StoreServer::adopt_primary(CollectionId id,
   entry->retired = false;
   entry->retired_epoch = 0;
   entry->handoff_target = NodeId::invalid();
-  std::vector<ObjectRef> members;
-  members.reserve(image.members.size());
-  for (const auto& [object, home] : image.members) {
-    members.emplace_back(ObjectId{object}, NodeId{home});
-  }
   // The adopted membership continues the source's op-sequence stream:
   // cursors and incarnation restore verbatim. Nothing goes through the WAL
   // (restore does not fire the op observer); the checkpoint the migration
   // engine writes right after this makes the adoption durable.
-  entry->state.restore(std::move(members), image.version, image.last_seq,
-                       image.applied_seq, image.incarnation);
+  restore_image(entry->state, image);
   metrics_.add("placement.fragments_adopted");
   return entry->state;
 }
@@ -410,70 +805,12 @@ Task<bool> StoreServer::checkpoint_now() {
 }
 
 // ---------------------------------------------------------------------------
-// Anti-entropy
-
-Task<void> StoreServer::pull_loop(CollectionId id, NodeId primary) {
-  Simulator& sim = net_.sim();
-  for (;;) {
-    co_await sim.delay(options_.pull_interval);
-    if (stopping_) co_return;
-    if (!serving_) continue;  // recovering: resume pulling afterwards
-    CollectionState* state = collection(id);
-    if (state == nullptr) co_return;  // unhosted; stop the daemon
-    metrics_.add("store.replica.pull_rounds");
-    const std::uint64_t epoch = epoch_;
-    auto reply = co_await net_.call_typed<msg::PullReply>(
-        node_, primary, "coll.pull",
-        msg::PullRequest{id, state->applied_seq(), state->incarnation()});
-    if (epoch != epoch_) continue;  // crashed meanwhile: the reply is stale
-    if (!reply) {
-      metrics_.add("store.replica.pull_failures");
-      continue;  // primary unreachable; retry next round
-    }
-    state = collection(id);  // re-resolve: the map may have changed under
-    if (state == nullptr) co_return;  // the co_await
-    if (reply.value().is_snapshot()) {
-      // The primary's log was truncated past our cursor (or the sequence
-      // stream changed incarnation): install the full membership and resume
-      // op-by-op from its seq.
-      metrics_.add("store.replica.snapshot_installs");
-      const std::uint64_t version = reply.value().version();
-      const std::uint64_t seq = reply.value().seq();
-      const std::uint64_t incarnation = reply.value().incarnation();
-      state->install(std::move(reply).value().take_members(), version, seq);
-      state->set_incarnation(incarnation);
-      // Nothing of the installed membership is in the WAL: checkpoint soon
-      // so a crash does not set this replica all the way back.
-      arm_checkpoint();
-      continue;
-    }
-    if (engine_ != nullptr && !reply.value().ops().empty()) {
-      co_await fault_ops(id, reply.value().ops());
-      if (epoch != epoch_) continue;
-      state = collection(id);
-      if (state == nullptr) co_return;
-    }
-    // Apply the contiguous prefix only (cf. the coll.sync handler): a racing
-    // push may have advanced applied_seq during the pull's round trip.
-    for (const CollectionOp& op : reply.value().ops()) {
-      if (op.seq() <= state->applied_seq()) continue;
-      if (op.seq() != state->applied_seq() + 1) break;
-      state->apply(op);
-      metrics_.add("store.replica.pull_ops_applied");
-    }
-    VectorPool<CollectionOp>::release(std::move(reply).value().take_ops());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Handlers
 
 Task<Result<Payload>> StoreServer::handle_fetch(NodeId /*from*/,
                                                  Payload request) {
   const auto req = payload_cast<msg::FetchRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
+  if (!serving_) co_return recovering();
   metrics_.add("store.server.fetches");
   co_await net_.sim().delay(options_.object_read_latency);
   const auto value = objects_.get(req.id());
@@ -487,9 +824,7 @@ Task<Result<Payload>> StoreServer::handle_fetch(NodeId /*from*/,
 Task<Result<Payload>> StoreServer::handle_fetch_batch(NodeId /*from*/,
                                                        Payload request) {
   const auto req = payload_cast<msg::FetchBatchRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
+  if (!serving_) co_return recovering();
   metrics_.add("store.server.batch_fetches");
   metrics_.add("store.server.batch_objects", req.ids().size());
   metrics_.record_value("store.server.batch_size",
@@ -520,9 +855,7 @@ Task<Result<Payload>> StoreServer::handle_fetch_batch(NodeId /*from*/,
 Task<Result<Payload>> StoreServer::handle_put(NodeId /*from*/,
                                                Payload request) {
   auto req = payload_cast<msg::PutRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
+  if (!serving_) co_return recovering();
   co_await net_.sim().delay(options_.object_write_latency);
   const ObjectId id = req.id();
   co_return Payload{objects_.put(id, std::move(req).take_data())};
@@ -531,181 +864,73 @@ Task<Result<Payload>> StoreServer::handle_put(NodeId /*from*/,
 Task<Result<Payload>> StoreServer::handle_snapshot(NodeId from,
                                                     Payload request) {
   const auto req = payload_cast<msg::SnapshotRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  AdmissionTicket ticket;
-  if (admission_.enabled()) {
-    ticket = co_await admission_.admit(tenant_of(req.id()));
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    if (!ticket.admitted()) {
-      co_return Failure{FailureKind::kOverloaded, "admission queue full"};
-    }
-  }
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  Hosted* entry = find_entry(req.id());
-  if (entry == nullptr) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-  ++entry->reads;
-  ++entry->reads_by_node[from.raw()];
-  if (entry->orset != nullptr) {
-    // OR-Set fragment: serve the local replica's current membership (which
-    // may lag peers until anti-entropy quiesces — the availability/staleness
-    // trade the mode buys).
-    const Duration orset_cost = options_.membership_entry_cost *
-                                static_cast<std::int64_t>(entry->orset->size());
-    metrics_.add("store.server.snapshot_reads");
-    metrics_.add("store.server.snapshot_members_shipped", entry->orset->size());
-    metrics_.add("store.server.ship_cost_ns",
-                 static_cast<std::uint64_t>(orset_cost.count_nanos()));
-    co_await net_.sim().delay(orset_cost);
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    entry = find_entry(req.id());  // re-resolve (cf. pull_loop)
-    if (entry == nullptr || entry->orset == nullptr) {
-      co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-    }
-    co_return Payload{
-        msg::SnapshotReply{entry->orset->members(), entry->orset->version()}};
-  }
-  CollectionState* state = &entry->state;
+  auto guarded = co_await guard(req.id(), /*admit=*/true);
+  if (!guarded) co_return std::move(guarded).error();
+  Hosted* entry = guarded.value().entry;
+  entry->count_read(from);
   // Shipping the whole membership costs per member — the cost delta reads
-  // avoid (coll.read_delta charges per *change* instead).
-  const Duration ship_cost = options_.membership_entry_cost *
-                             static_cast<std::int64_t>(state->size());
-  metrics_.add("store.server.snapshot_reads");
-  metrics_.add("store.server.snapshot_members_shipped", state->size());
-  metrics_.add("store.server.ship_cost_ns",
-               static_cast<std::uint64_t>(ship_cost.count_nanos()));
-  co_await net_.sim().delay(ship_cost);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  state = collection(req.id());  // re-resolve: the map may have changed
-  if (state == nullptr) {        // under the co_await (cf. pull_loop)
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  co_return Payload{msg::SnapshotReply{state->members(), state->version()}};
+  // avoid. An OR-Set fragment serves this host's membership, which may lag
+  // peers until anti-entropy quiesces: the trade the mode buys.
+  Result<Hosted*> shipped = co_await ship(
+      req.id(), guarded.value().epoch, entry->size(),
+      "store.server.snapshot_reads", "store.server.snapshot_members_shipped");
+  if (!shipped) co_return std::move(shipped).error();
+  entry = shipped.value();
+  co_return Payload{msg::SnapshotReply{entry->members(), entry->version()}};
 }
 
 Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
                                                       Payload request) {
   const auto req = payload_cast<msg::DeltaRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  AdmissionTicket ticket;
-  if (admission_.enabled()) {
-    ticket = co_await admission_.admit(tenant_of(req.id()));
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    if (!ticket.admitted()) {
-      co_return Failure{FailureKind::kOverloaded, "admission queue full"};
-    }
-  }
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  Hosted* entry = find_entry(req.id());
-  if (entry == nullptr) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-  ++entry->reads;
-  ++entry->reads_by_node[from.raw()];
-  if (entry->orset != nullptr) {
-    // OR-Set fragments have no single op-sequence stream a delta cursor
-    // could follow (dots interleave from many origins), so cached readers
-    // always resync with a full snapshot; `seq` carries the membership
-    // version purely as a change hint.
-    const Duration orset_cost = options_.membership_entry_cost *
-                                static_cast<std::int64_t>(entry->orset->size());
-    metrics_.add("store.server.delta_resyncs");
-    metrics_.add("store.server.snapshot_members_shipped", entry->orset->size());
-    metrics_.add("store.server.ship_cost_ns",
-                 static_cast<std::uint64_t>(orset_cost.count_nanos()));
-    co_await net_.sim().delay(orset_cost);
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    entry = find_entry(req.id());  // re-resolve (cf. pull_loop)
-    if (entry == nullptr || entry->orset == nullptr) {
-      co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-    }
-    std::vector<ObjectRef> orset_members = VectorPool<ObjectRef>::acquire();
-    const std::vector<ObjectRef> current = entry->orset->members();
-    orset_members.assign(current.begin(), current.end());
-    co_return Payload{msg::DeltaReply::full_snapshot(
-        std::move(orset_members), entry->orset->version(),
-        entry->orset->version(), entry->state.incarnation())};
-  }
-  CollectionState* state = &entry->state;
-  // Serve ops when the cursor names this fragment's op stream (same
-  // incarnation — an amnesia recovery in between starts a new stream whose
-  // sequence numbers are unrelated), is inside the retained log window,
-  // *and* the delta is no larger than the membership itself; otherwise
-  // resync the reader with a full snapshot. since_seq > last_seq means the
-  // reader followed a fresher host here by mistake (the client keys its
-  // cache per host precisely to avoid this) — treated as a resync, not an
-  // error.
-  const bool can_delta = req.since_seq() != 0 &&
-                         req.since_incarnation() == state->incarnation() &&
-                         req.since_seq() <= state->last_seq() &&
-                         state->can_serve_ops_since(req.since_seq()) &&
-                         state->last_seq() - req.since_seq() <= state->size();
+  auto guarded = co_await guard(req.id(), /*admit=*/true);
+  if (!guarded) co_return std::move(guarded).error();
+  const std::uint64_t epoch = guarded.value().epoch;
+  Hosted* entry = guarded.value().entry;
+  entry->count_read(from);
+  const CollectionState& state = entry->state;
+  // Serve ops when the cursor names this fragment's op stream (an amnesia
+  // recovery starts a new incarnation with unrelated seqs), is inside the
+  // retained window — a cursor past last_seq means the reader followed a
+  // fresher host here by mistake — *and* the delta is no larger than the
+  // membership; otherwise resync the reader with a full snapshot. OR-Set
+  // fragments have no single op stream (dots interleave from many origins):
+  // their readers always resync, and `seq` is the version as a change hint.
+  const bool can_delta = entry->orset == nullptr && req.since_seq() != 0 &&
+                         req.since_incarnation() == state.incarnation() &&
+                         state.log().can_serve_since(req.since_seq()) &&
+                         state.last_seq() - req.since_seq() <= state.size();
   if (!can_delta) {
-    const Duration ship_cost = options_.membership_entry_cost *
-                               static_cast<std::int64_t>(state->size());
-    metrics_.add("store.server.delta_resyncs");
-    metrics_.add("store.server.snapshot_members_shipped", state->size());
-    metrics_.add("store.server.ship_cost_ns",
-                 static_cast<std::uint64_t>(ship_cost.count_nanos()));
-    co_await net_.sim().delay(ship_cost);
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    state = collection(req.id());  // re-resolve: the map may have changed
-    if (state == nullptr) {        // under the co_await (cf. pull_loop)
-      co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-    }
+    Result<Hosted*> shipped = co_await ship(
+        req.id(), epoch, entry->size(), "store.server.delta_resyncs",
+        "store.server.snapshot_members_shipped");
+    if (!shipped) co_return std::move(shipped).error();
+    entry = shipped.value();
+    const std::uint64_t version = entry->version();
+    const std::uint64_t seq =
+        entry->orset != nullptr ? version : entry->state.last_seq();
     std::vector<ObjectRef> members = VectorPool<ObjectRef>::acquire();
-    members.assign(state->members().begin(), state->members().end());
+    if (entry->orset != nullptr) {
+      members = entry->orset->members();
+    } else {
+      members.assign(state.members().begin(), state.members().end());
+    }
     co_return Payload{msg::DeltaReply::full_snapshot(
-        std::move(members), state->version(), state->last_seq(),
-        state->incarnation())};
+        std::move(members), version, seq, entry->state.incarnation())};
   }
   // Slice the ops and the cursor they run up to at the same instant: a
   // mutation (or replica sync) landing during the shipping delay below would
   // otherwise advance last_seq past the ops actually shipped, and the client
   // — which stores the reply's seq as its cursor — would skip the missed ops
   // forever.
-  const std::uint64_t version = state->version();
-  const std::uint64_t last_seq = state->last_seq();
-  const std::uint64_t incarnation = state->incarnation();
+  const std::uint64_t version = state.version();
+  const std::uint64_t last_seq = state.last_seq();
+  const std::uint64_t incarnation = state.incarnation();
   std::vector<CollectionOp> ops = VectorPool<CollectionOp>::acquire();
-  state->ops_since(req.since_seq(), ops);
-  const Duration ship_cost =
-      options_.membership_entry_cost * static_cast<std::int64_t>(ops.size());
-  metrics_.add("store.server.delta_reads");
-  metrics_.add("store.server.delta_ops_shipped", ops.size());
-  metrics_.add("store.server.ship_cost_ns",
-               static_cast<std::uint64_t>(ship_cost.count_nanos()));
-  co_await net_.sim().delay(ship_cost);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
+  state.log().slice(req.since_seq(), ops);
+  Result<Hosted*> shipped =
+      co_await ship(req.id(), epoch, ops.size(), "store.server.delta_reads",
+                    "store.server.delta_ops_shipped");
+  if (!shipped) co_return std::move(shipped).error();
   co_return Payload{
       msg::DeltaReply::delta(std::move(ops), version, last_seq, incarnation)};
 }
@@ -713,133 +938,69 @@ Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
 Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
                                                       Payload request) {
   const auto req = payload_cast<msg::MembershipRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  AdmissionTicket ticket;
-  if (admission_.enabled()) {
-    ticket = co_await admission_.admit(tenant_of(req.id()));
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    if (!ticket.admitted()) {
-      co_return Failure{FailureKind::kOverloaded, "admission queue full"};
-    }
-  }
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  const auto it = collections_.find(req.id());
-  if (it == collections_.end()) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  Hosted& entry = *it->second;
-  if (entry.retired) co_return wrong_epoch(entry.retired_epoch);
+  auto guarded = co_await guard(req.id(), /*admit=*/true);
+  if (!guarded) co_return std::move(guarded).error();
+  const std::uint64_t epoch = guarded.value().epoch;
+  Hosted& entry = *guarded.value().entry;
   if (entry.primary.valid()) {
     co_return Failure{FailureKind::kNotFound,
                       "replica does not accept mutations"};
   }
   ++entry.ops;
   // Honour an active freeze: mutators wait until the lock is released or its
-  // lease expires. (The waiting RPC may time out at the caller meanwhile —
-  // exactly the cost of strong semantics the paper warns about.) An amnesia
-  // crash releases the freeze and wakes the gate; the epoch check catches
-  // that case, and the retired check catches a migration committing while we
-  // queued.
+  // lease expires (the RPC may time out meanwhile — the cost of strong
+  // semantics the paper warns about). The epoch check catches an amnesia
+  // crash, the retired check a migration committing while we queued.
   while (entry.frozen_by != 0) {
     co_await entry.unfrozen->wait();
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
+    if (epoch != epoch_) co_return node_crashed();
   }
   if (entry.retired) co_return wrong_epoch(entry.retired_epoch);
   const bool is_add = req.op() == msg::MembershipRequest::Op::kAdd;
+  const CollectionOp::Kind kind =
+      is_add ? CollectionOp::Kind::kAdd : CollectionOp::Kind::kRemove;
   if (!is_add && entry.pin_count > 0) {
     // Grow-only pin active: the removal is accepted but deferred; the member
     // lingers as a "ghost" until the last pin is released (section 3.3).
     metrics_.add("store.server.mutations_deferred");
     entry.deferred_removes.push_back(req.ref());
-    const bool present = entry.orset != nullptr
-                             ? entry.orset->contains(req.ref())
-                             : entry.state.contains(req.ref());
-    const std::uint64_t deferred_version = entry.orset != nullptr
-                                               ? entry.orset->version()
-                                               : entry.state.version();
-    co_return Payload{msg::MembershipReply{present, deferred_version}};
-  }
-  if (entry.orset != nullptr) {
-    // OR-Set multi-master write: apply locally (minting or killing dots),
-    // log the resulting ops for anti-entropy, and ack — no coordination
-    // with peers, which is exactly why the write survives a partition.
-    const std::vector<crdt::DotOp> dot_ops =
-        is_add ? entry.orset->add(req.ref()) : entry.orset->remove(req.ref());
-    for (const crdt::DotOp& op : dot_ops) orset_append_local(entry, op);
-    const std::uint64_t orset_wal_index = last_wal_index_;
-    const bool orset_changed = !dot_ops.empty();
-    const std::uint64_t orset_version = entry.orset->version();
-    if (orset_changed) {
-      if (sink_ != nullptr) {
-        sink_->on_mutation(req.id(),
-                           is_add ? CollectionOp::Kind::kAdd
-                                  : CollectionOp::Kind::kRemove,
-                           req.ref());
-      }
-      metrics_.add(is_add ? "store.server.adds_applied"
-                          : "store.server.removes_applied");
-      trigger_orset_pushes(req.id());
-      if (options_.durability.enabled && options_.durability.durable_acks) {
-        const bool durable = co_await wal_->wait_durable(orset_wal_index);
-        if (!durable || epoch != epoch_) {
-          co_return Failure{FailureKind::kNodeCrashed,
-                            "mutation lost to crash during commit"};
-        }
-      }
-    }
-    co_return Payload{msg::MembershipReply{orset_changed, orset_version}};
+    co_return Payload{
+        msg::MembershipReply{entry.contains(req.ref()), entry.version()}};
   }
   if (entry.backing != nullptr) {
     // Block engine: page the member's bucket in (charging the extent read
     // and any evictions it forces) before the synchronous mutation below.
-    co_await fault_member(req.id(), req.ref());
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    if (entry.retired) co_return wrong_epoch(entry.retired_epoch);
+    co_await engine_->fault(entry.backing->raw_id(), req.ref().id().raw(),
+                            req.ref().home().raw());
+    Result<Hosted*> again = resolve(req.id(), epoch, /*retired_fails=*/true);
+    if (!again) co_return std::move(again).error();
   }
-  const bool changed =
-      is_add ? entry.state.add(req.ref()) : entry.state.remove(req.ref());
-  // The op observer inside add()/remove() just appended our WAL record;
-  // capture its index before anything else can append.
+  const bool changed = write_member(entry, is_add, req.ref());
+  // The write just appended its WAL record; capture its index before
+  // anything else can append.
   const std::uint64_t wal_index = last_wal_index_;
-  if (changed && sink_ != nullptr) {
-    sink_->on_mutation(req.id(),
-                       is_add ? CollectionOp::Kind::kAdd
-                              : CollectionOp::Kind::kRemove,
-                       req.ref());
-  }
-  const std::uint64_t version = entry.state.version();
+  const std::uint64_t version = entry.version();
   if (changed) {
+    if (sink_ != nullptr) sink_->on_mutation(req.id(), kind, req.ref());
     metrics_.add(is_add ? "store.server.adds_applied"
                         : "store.server.removes_applied");
-    trigger_pushes(req.id());
+    if (entry.orset != nullptr) {
+      trigger_pushes<DotOps>(req.id());
+    } else {
+      trigger_pushes<Contiguous>(req.id());
+    }
     if (entry.handoff_target.valid()) {
       // Dual-home window (DESIGN.md decision 12): forward the committed op
       // to the migration target before acking, so the staged copy never
       // misses a mutation. The target applies without re-announcing to the
       // mutation sink — ground truth sees each op exactly once.
       const NodeId target = entry.handoff_target;
-      const CollectionOp op{is_add ? CollectionOp::Kind::kAdd
-                                   : CollectionOp::Kind::kRemove,
-                            req.ref(), entry.state.last_seq()};
+      const CollectionOp op{kind, req.ref(), entry.state.last_seq()};
       metrics_.add("placement.handoff_forwards");
       auto forwarded = co_await net_.call_typed<msg::HandoffApplyReply>(
           node_, target, "mig.apply",
           msg::HandoffApplyRequest{req.id(), op, entry.state.incarnation()});
-      if (epoch != epoch_) {
-        co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-      }
+      if (epoch != epoch_) co_return node_crashed();
       if (!forwarded) {
         // Target unreachable mid-handoff: drop back to single home here.
         // The migration's finish step fails its completeness check and the
@@ -865,31 +1026,10 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
 Task<Result<Payload>> StoreServer::handle_size(NodeId /*from*/,
                                                 Payload request) {
   const auto req = payload_cast<msg::SizeRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  AdmissionTicket ticket;
-  if (admission_.enabled()) {
-    ticket = co_await admission_.admit(tenant_of(req.id()));
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    if (!ticket.admitted()) {
-      co_return Failure{FailureKind::kOverloaded, "admission queue full"};
-    }
-  }
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  Hosted* entry = find_entry(req.id());
-  if (entry == nullptr) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-  co_return Payload{static_cast<std::uint64_t>(
-      entry->orset != nullptr ? entry->orset->size() : entry->state.size())};
+  auto guarded = co_await guard(req.id(), /*admit=*/true);
+  if (!guarded) co_return std::move(guarded).error();
+  co_return Payload{
+      static_cast<std::uint64_t>(guarded.value().entry->size())};
 }
 
 void StoreServer::release_freeze(Hosted& entry) {
@@ -898,23 +1038,20 @@ void StoreServer::release_freeze(Hosted& entry) {
   entry.unfrozen->open();
 }
 
+void StoreServer::release_locks(Hosted& entry) {
+  entry.handoff_target = NodeId::invalid();
+  release_freeze(entry);
+  entry.pin_count = 0;
+  entry.deferred_removes.clear();
+}
+
 Task<Result<Payload>> StoreServer::handle_freeze(NodeId /*from*/,
                                                   Payload request) {
   const auto req = payload_cast<msg::FreezeRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  const auto it = collections_.find(req.id());
-  if (it == collections_.end()) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  Hosted& entry = *it->second;
-  if (entry.retired) co_return wrong_epoch(entry.retired_epoch);
+  auto guarded = co_await guard(req.id(), /*admit=*/false);
+  if (!guarded) co_return std::move(guarded).error();
+  const std::uint64_t epoch = guarded.value().epoch;
+  Hosted& entry = *guarded.value().entry;
   assert(req.token() != 0 && "freeze token 0 is reserved for 'unfrozen'");
   if (req.freeze() && entry.handoff_target.valid()) {
     // Mid-migration (dual-home handoff): lock state does not transfer with
@@ -923,54 +1060,41 @@ Task<Result<Payload>> StoreServer::handle_freeze(NodeId /*from*/,
     // cleanly and can retry after the (short) handoff window.
     co_return Failure{FailureKind::kUnreachable, "fragment migrating"};
   }
-  if (req.freeze()) {
-    // Queue behind the current holder (if any), then take the lock.
-    while (entry.frozen_by != 0 && entry.frozen_by != req.token()) {
-      co_await entry.unfrozen->wait();
-      if (epoch != epoch_) {
-        co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-      }
-    }
-    if (entry.retired) co_return wrong_epoch(entry.retired_epoch);
-    if (entry.handoff_target.valid()) {
-      co_return Failure{FailureKind::kUnreachable, "fragment migrating"};
-    }
-    entry.frozen_by = req.token();
-    entry.unfrozen->close();
-    // Lease: auto-release if the holder never comes back.
-    entry.lease_timer.cancel();
-    Hosted* entry_ptr = &entry;
-    const std::uint64_t token = req.token();
-    entry.lease_timer = net_.sim().schedule_cancellable(
-        options_.freeze_lease, [this, entry_ptr, token] {
-          if (entry_ptr->frozen_by == token) {
-            WEAKSET_DEBUG("freeze lease expired, token " << token);
-            release_freeze(*entry_ptr);
-          }
-        });
-  } else {
+  if (!req.freeze()) {
     if (entry.frozen_by == req.token()) release_freeze(entry);
+    co_return Payload{true};
   }
+  // Queue behind the current holder (if any), then take the lock.
+  while (entry.frozen_by != 0 && entry.frozen_by != req.token()) {
+    co_await entry.unfrozen->wait();
+    if (epoch != epoch_) co_return node_crashed();
+  }
+  if (entry.retired) co_return wrong_epoch(entry.retired_epoch);
+  if (entry.handoff_target.valid()) {
+    co_return Failure{FailureKind::kUnreachable, "fragment migrating"};
+  }
+  entry.frozen_by = req.token();
+  entry.unfrozen->close();
+  // Lease: auto-release if the holder never comes back.
+  entry.lease_timer.cancel();
+  Hosted* entry_ptr = &entry;
+  const std::uint64_t token = req.token();
+  entry.lease_timer = net_.sim().schedule_cancellable(
+      options_.freeze_lease, [this, entry_ptr, token] {
+        if (entry_ptr->frozen_by == token) {
+          WEAKSET_DEBUG("freeze lease expired, token " << token);
+          release_freeze(*entry_ptr);
+        }
+      });
   co_return Payload{true};
 }
 
 Task<Result<Payload>> StoreServer::handle_pin(NodeId /*from*/,
                                                Payload request) {
   const auto req = payload_cast<msg::PinRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  const auto it = collections_.find(req.id());
-  if (it == collections_.end()) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  Hosted& entry = *it->second;
-  if (entry.retired) co_return wrong_epoch(entry.retired_epoch);
+  auto guarded = co_await guard(req.id(), /*admit=*/false);
+  if (!guarded) co_return std::move(guarded).error();
+  Hosted& entry = *guarded.value().entry;
   if (req.pin() && entry.handoff_target.valid()) {
     // Deferred removals would be applied (and announced) at unpin without
     // being forwarded to the handoff target — refuse like freeze does.
@@ -981,13 +1105,7 @@ Task<Result<Payload>> StoreServer::handle_pin(NodeId /*from*/,
   } else if (entry.pin_count > 0 && --entry.pin_count == 0) {
     // Garbage-collect the ghosts: apply the deferred removals now.
     for (const ObjectRef ref : entry.deferred_removes) {
-      if (entry.orset != nullptr) {
-        const std::vector<crdt::DotOp> dot_ops = entry.orset->remove(ref);
-        for (const crdt::DotOp& op : dot_ops) orset_append_local(entry, op);
-        if (!dot_ops.empty() && sink_ != nullptr) {
-          sink_->on_mutation(req.id(), CollectionOp::Kind::kRemove, ref);
-        }
-      } else if (entry.state.remove(ref) && sink_ != nullptr) {
+      if (write_member(entry, /*add=*/false, ref) && sink_ != nullptr) {
         sink_->on_mutation(req.id(), CollectionOp::Kind::kRemove, ref);
       }
     }
@@ -1001,395 +1119,9 @@ void StoreServer::add_push_target(CollectionId id, NodeId replica) {
   hosted(id).push_targets.emplace_back(replica);
 }
 
-void StoreServer::trigger_pushes(CollectionId id) {
-  if (!options_.push_replication) return;
-  if (!serving_) return;
-  Hosted& entry = hosted(id);
-  for (Hosted::PushTarget& target : entry.push_targets) {
-    if (!target.in_flight && target.acked_seq < entry.state.last_seq()) {
-      target.in_flight = true;
-      net_.sim().spawn(push_to(id, target));
-    }
-  }
-}
-
-Task<void> StoreServer::push_to(CollectionId id, Hosted::PushTarget& target) {
-  // One pusher per target at a time; loops until the target is caught up or
-  // a push fails (the pull loop then repairs).
-  Hosted& entry = hosted(id);
-  const std::uint64_t epoch = epoch_;
-  while (!stopping_ && target.acked_seq < entry.state.last_seq()) {
-    if (!entry.state.can_serve_ops_since(target.acked_seq)) {
-      break;  // log truncated past the target's cursor: pull will snapshot
-    }
-    const std::uint64_t before = target.acked_seq;
-    metrics_.add("store.server.pushes");
-    std::vector<CollectionOp> ops = VectorPool<CollectionOp>::acquire();
-    entry.state.ops_since(target.acked_seq, ops);
-    auto reply = co_await net_.call_typed<msg::SyncReply>(
-        node_, target.node, "coll.sync",
-        msg::SyncRequest{id, std::move(ops), entry.state.incarnation()});
-    if (epoch != epoch_) {
-      // Amnesia crash during the push: the wipe already reset the target's
-      // cursor and in_flight marker — touch nothing.
-      co_return;
-    }
-    if (!reply) break;  // unreachable replica: give up until next mutation
-    if (reply.value().incarnation() != entry.state.incarnation()) {
-      break;  // replica on another op stream: pull will snapshot-resync it
-    }
-    target.acked_seq = reply.value().applied_seq();
-    if (target.acked_seq <= before) {
-      break;  // replica not advancing (gap?): let anti-entropy repair
-    }
-  }
-  target.in_flight = false;
-}
-
-Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
-                                                Payload request) {
-  const auto req = payload_cast<msg::PullRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  Hosted* pull_entry = find_entry(req.id());
-  if (pull_entry == nullptr) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  if (pull_entry->retired) co_return wrong_epoch(pull_entry->retired_epoch);
-  CollectionState* state = &pull_entry->state;
-  metrics_.add("store.server.pulls_served");
-  // A replica that fell behind the bounded log window cannot catch up op by
-  // op any more — and one whose cursor belongs to another incarnation
-  // (amnesia recovery on either side) cannot catch up at all: send the
-  // whole membership for wholesale install.
-  if (req.incarnation() != state->incarnation() ||
-      !state->can_serve_ops_since(req.after_seq())) {
-    const Duration ship_cost = options_.membership_entry_cost *
-                               static_cast<std::int64_t>(state->size());
-    metrics_.add("store.server.pull_snapshots");
-    metrics_.add("store.server.snapshot_members_shipped", state->size());
-    metrics_.add("store.server.ship_cost_ns",
-                 static_cast<std::uint64_t>(ship_cost.count_nanos()));
-    co_await net_.sim().delay(ship_cost);
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    state = collection(req.id());  // re-resolve: the map may have changed
-    if (state == nullptr) {        // under the co_await (cf. pull_loop)
-      co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-    }
-    std::vector<ObjectRef> members = VectorPool<ObjectRef>::acquire();
-    members.assign(state->members().begin(), state->members().end());
-    co_return Payload{msg::PullReply::snapshot(
-        std::move(members), state->version(), state->last_seq(),
-        state->incarnation())};
-  }
-  std::vector<CollectionOp> ops = VectorPool<CollectionOp>::acquire();
-  state->ops_since(req.after_seq(), ops);
-  const std::uint64_t incarnation = state->incarnation();
-  const Duration ship_cost =
-      options_.membership_entry_cost * static_cast<std::int64_t>(ops.size());
-  metrics_.add("store.server.pull_ops_shipped", ops.size());
-  metrics_.add("store.server.ship_cost_ns",
-               static_cast<std::uint64_t>(ship_cost.count_nanos()));
-  co_await net_.sim().delay(ship_cost);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  co_return Payload{msg::PullReply{std::move(ops), incarnation}};
-}
-
 // ---------------------------------------------------------------------------
-// OR-Set anti-entropy (src/crdt, DESIGN.md decision 16)
-
-void StoreServer::orset_wal_append(Hosted& entry, const crdt::DotOp& op) {
-  if (!options_.durability.enabled || wal_suspended_) return;
-  // No arm_checkpoint(): checkpoints cannot capture OR-Set state (the dot
-  // context has no image form yet), so the WAL is the fragment's only
-  // durable history and is never truncated while it is hosted here.
-  last_wal_index_ = wal_->append(
-      orset_wal_record(entry.state.id(), op, entry.state.incarnation()));
-}
-
-void StoreServer::orset_append_local(Hosted& entry, const crdt::DotOp& op) {
-  entry.orset_log.push_back(op);
-  ++entry.orset_last_seq;
-  if (options_.membership_log_cap != 0 &&
-      entry.orset_log.size() > options_.membership_log_cap) {
-    entry.orset_log.pop_front();
-  }
-  orset_wal_append(entry, op);
-}
-
-Task<void> StoreServer::orset_pull_loop(CollectionId id) {
-  Simulator& sim = net_.sim();
-  for (;;) {
-    co_await sim.delay(options_.pull_interval);
-    if (stopping_) co_return;
-    if (!serving_) continue;  // recovering: resume pulling afterwards
-    Hosted* entry = find_entry(id);
-    if (entry == nullptr || entry->orset == nullptr) co_return;
-    // Copy the peer list: add_orset_peer may grow it under a co_await.
-    const std::vector<NodeId> peers = entry->orset_peers;
-    for (const NodeId peer : peers) {
-      entry = find_entry(id);
-      if (entry == nullptr || entry->orset == nullptr) co_return;
-      const Hosted::OrSetCursor cursor = entry->orset_cursors[peer];
-      metrics_.add("store.orset.pull_rounds");
-      const std::uint64_t epoch = epoch_;
-      // Bounded timeout: a partition that cuts the link while a pull is in
-      // flight drops the message, and fast-fail only covers dead-at-send
-      // paths — without this bound the loop would sit out the full RPC
-      // default timeout. 4x the interval leaves room for snapshot ship cost.
-      auto reply = co_await net_.call_typed<msg::OrSetPullReply>(
-          node_, peer, "orset.pull",
-          msg::PullRequest{id, cursor.after_seq, cursor.incarnation},
-          options_.pull_interval * 4);
-      if (epoch != epoch_) break;  // crashed meanwhile: this round is stale
-      entry = find_entry(id);
-      if (entry == nullptr || entry->orset == nullptr) co_return;
-      if (!reply) {
-        metrics_.add("store.orset.pull_failures");
-        continue;  // peer unreachable (partition): retry next round
-      }
-      const msg::OrSetPullReply& r = reply.value();
-      if (r.is_snapshot()) {
-        // Cursor expired (bounded log) or the peer restarted with amnesia:
-        // merge its full state. join() expresses every state change as a
-        // dot op, which we WAL like any remote delivery.
-        metrics_.add("store.orset.snapshot_joins");
-        const crdt::DotContext remote_ctx =
-            crdt::DotContext::from_parts(r.context_vector(), r.context_cloud());
-        std::vector<crdt::DotOp> remote_live;
-        remote_live.reserve(r.ops().size());
-        for (const msg::OrSetWireOp& op : r.ops()) {
-          remote_live.push_back(from_wire(op));
-        }
-        const std::vector<crdt::DotOp> applied =
-            entry->orset->join(remote_ctx, remote_live);
-        for (const crdt::DotOp& op : applied) orset_wal_append(*entry, op);
-        metrics_.add("store.orset.pull_ops_applied", applied.size());
-      } else {
-        for (const msg::OrSetWireOp& wire : r.ops()) {
-          const crdt::DotOp op = from_wire(wire);
-          if (entry->orset->apply(op)) {
-            orset_wal_append(*entry, op);
-            metrics_.add("store.orset.pull_ops_applied");
-          }
-        }
-      }
-      entry->orset_cursors[peer] =
-          Hosted::OrSetCursor{r.end_seq(), r.incarnation()};
-    }
-  }
-}
-
-void StoreServer::trigger_orset_pushes(CollectionId id) {
-  if (!options_.push_replication) return;
-  if (!serving_) return;
-  Hosted& entry = hosted(id);
-  for (Hosted::PushTarget& target : entry.push_targets) {
-    if (!target.in_flight && target.acked_seq < entry.orset_last_seq) {
-      target.in_flight = true;
-      net_.sim().spawn(orset_push_to(id, target));
-    }
-  }
-}
-
-Task<void> StoreServer::orset_push_to(CollectionId id,
-                                      Hosted::PushTarget& target) {
-  // One pusher per target at a time, shipping this host's *local* dot ops;
-  // a failed or stalled push is abandoned and the peer's pull repairs.
-  Hosted& entry = hosted(id);
-  const std::uint64_t epoch = epoch_;
-  while (!stopping_ && entry.orset != nullptr &&
-         target.acked_seq < entry.orset_last_seq) {
-    // First retained seq is orset_last_seq - log.size() + 1; a cursor below
-    // that window cannot be served op-by-op — the peer's pull snapshots.
-    if (target.acked_seq < entry.orset_last_seq - entry.orset_log.size()) {
-      break;
-    }
-    const std::uint64_t before = target.acked_seq;
-    metrics_.add("store.orset.pushes");
-    const std::uint64_t start_seq = target.acked_seq + 1;
-    const std::uint64_t log_floor =
-        entry.orset_last_seq - entry.orset_log.size();
-    std::vector<msg::OrSetWireOp> ops;
-    ops.reserve(static_cast<std::size_t>(entry.orset_last_seq -
-                                         target.acked_seq));
-    for (std::uint64_t seq = start_seq; seq <= entry.orset_last_seq; ++seq) {
-      ops.push_back(to_wire(
-          entry.orset_log[static_cast<std::size_t>(seq - log_floor - 1)]));
-    }
-    auto reply = co_await net_.call_typed<msg::SyncReply>(
-        node_, target.node, "orset.sync",
-        msg::OrSetSyncRequest{id, std::move(ops), start_seq});
-    if (epoch != epoch_) co_return;  // crash wiped the cursor: touch nothing
-    if (!reply) break;  // unreachable peer: give up until next mutation
-    target.acked_seq = reply.value().applied_seq();
-    if (target.acked_seq <= before) break;  // not advancing: pull repairs
-  }
-  target.in_flight = false;
-}
-
-Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
-                                                     Payload request) {
-  const auto req = payload_cast<msg::PullRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  Hosted* entry = find_entry(req.id());
-  if (entry == nullptr || entry->orset == nullptr) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-  metrics_.add("store.orset.pulls_served");
-  const std::uint64_t incarnation = entry->state.incarnation();
-  const std::uint64_t log_floor = entry->orset_last_seq -
-                                  entry->orset_log.size();
-  // Cursor from another incarnation (someone restarted with amnesia) or
-  // below the bounded log window: ship the full state for a join.
-  if (req.incarnation() != incarnation || req.after_seq() < log_floor ||
-      req.after_seq() > entry->orset_last_seq) {
-    std::vector<msg::OrSetWireOp> live;
-    const std::vector<crdt::DotOp> exported = entry->orset->export_live();
-    live.reserve(exported.size());
-    for (const crdt::DotOp& op : exported) live.push_back(to_wire(op));
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ctx_vector;
-    const auto& vv = entry->orset->context().vector();
-    ctx_vector.assign(vv.begin(), vv.end());
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ctx_cloud;
-    ctx_cloud.reserve(entry->orset->context().cloud().size());
-    for (const crdt::Dot dot : entry->orset->context().cloud()) {
-      ctx_cloud.emplace_back(dot.origin(), dot.counter());
-    }
-    const std::uint64_t end_seq = entry->orset_last_seq;
-    const std::size_t entries =
-        live.size() + ctx_vector.size() + ctx_cloud.size();
-    const Duration ship_cost = options_.membership_entry_cost *
-                               static_cast<std::int64_t>(entries);
-    metrics_.add("store.orset.pull_snapshots");
-    metrics_.add("store.orset.pull_entries_shipped", entries);
-    metrics_.add("store.server.ship_cost_ns",
-                 static_cast<std::uint64_t>(ship_cost.count_nanos()));
-    co_await net_.sim().delay(ship_cost);
-    if (epoch != epoch_) {
-      co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-    }
-    co_return Payload{msg::OrSetPullReply::snapshot(
-        std::move(live), std::move(ctx_vector), std::move(ctx_cloud), end_seq,
-        incarnation)};
-  }
-  std::vector<msg::OrSetWireOp> ops;
-  ops.reserve(
-      static_cast<std::size_t>(entry->orset_last_seq - req.after_seq()));
-  for (std::uint64_t seq = req.after_seq() + 1; seq <= entry->orset_last_seq;
-       ++seq) {
-    ops.push_back(to_wire(
-        entry->orset_log[static_cast<std::size_t>(seq - log_floor - 1)]));
-  }
-  const std::uint64_t end_seq = entry->orset_last_seq;
-  const Duration ship_cost = options_.membership_entry_cost *
-                             static_cast<std::int64_t>(ops.size());
-  metrics_.add("store.orset.pull_entries_shipped", ops.size());
-  metrics_.add("store.server.ship_cost_ns",
-               static_cast<std::uint64_t>(ship_cost.count_nanos()));
-  co_await net_.sim().delay(ship_cost);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  co_return Payload{
-      msg::OrSetPullReply::delta(std::move(ops), end_seq, incarnation)};
-}
-
-Task<Result<Payload>> StoreServer::handle_orset_sync(NodeId /*from*/,
-                                                     Payload request) {
-  const auto req = payload_cast<msg::OrSetSyncRequest>(std::move(request));
-  if (!serving_) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  const std::uint64_t epoch = epoch_;
-  co_await net_.sim().delay(options_.membership_latency);
-  if (epoch != epoch_) {
-    co_return Failure{FailureKind::kNodeCrashed, "node crashed"};
-  }
-  Hosted* entry = find_entry(req.id());
-  if (entry == nullptr || entry->orset == nullptr) {
-    co_return Failure{FailureKind::kNotFound, "collection not hosted"};
-  }
-  if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-  metrics_.add("store.orset.push_syncs");
-  // Dot ops are idempotent: apply everything, no contiguity requirement.
-  // (The pusher's seq range exists only to drive its ack cursor.)
-  for (const msg::OrSetWireOp& wire : req.ops()) {
-    const crdt::DotOp op = from_wire(wire);
-    if (entry->orset->apply(op)) {
-      orset_wal_append(*entry, op);
-      metrics_.add("store.orset.push_ops_applied");
-    }
-  }
-  // Ack the last seq this request covered (start_seq - 1 when it was empty —
-  // nothing new acknowledged).
-  const std::uint64_t acked = req.start_seq() + req.ops().size() -
-                              (req.start_seq() == 0 && req.ops().empty() ? 0
-                                                                         : 1);
-  co_return Payload{msg::SyncReply{acked, entry->state.incarnation()}};
-}
-
-// ---------------------------------------------------------------------------
-// Durability: WAL hook, checkpoints, crash wipe, recovery
+// Durability: checkpoints, crash wipe, recovery
 // (DESIGN.md decision 11)
-
-void StoreServer::install_wal_observer(Hosted& entry) {
-  if (!options_.durability.enabled) return;
-  CollectionState* state = &entry.state;
-  state->set_op_observer([this, state](const CollectionOp& op) {
-    if (wal_suspended_) return;  // recovery replay: already on disk
-    last_wal_index_ =
-        wal_->append(to_wal_record(state->id(), op, state->incarnation()));
-    arm_checkpoint();
-  });
-}
-
-void StoreServer::attach_backing(CollectionId id, Hosted& entry) {
-  if (engine_ == nullptr || entry.orset != nullptr) return;
-  entry.backing = std::make_unique<BlockBacking>(*engine_, id);
-  entry.state.set_backing(entry.backing.get());
-}
-
-Task<void> StoreServer::fault_member(CollectionId id, ObjectRef ref) {
-  Hosted* entry = find_entry(id);
-  if (engine_ == nullptr || entry == nullptr || entry->backing == nullptr) {
-    co_return;
-  }
-  co_await engine_->fault(entry->backing->raw_id(), ref.id().raw(),
-                          ref.home().raw());
-}
-
-Task<void> StoreServer::fault_ops(CollectionId id,
-                                  const std::vector<CollectionOp>& ops) {
-  Hosted* entry = find_entry(id);
-  if (engine_ == nullptr || entry == nullptr || entry->backing == nullptr) {
-    co_return;
-  }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> refs;
-  refs.reserve(ops.size());
-  for (const CollectionOp& op : ops) {
-    refs.emplace_back(op.ref().id().raw(), op.ref().home().raw());
-  }
-  co_await engine_->fault_many(entry->backing->raw_id(), std::move(refs));
-}
 
 Task<void> StoreServer::compaction_loop() {
   Simulator& sim = net_.sim();
@@ -1526,19 +1258,16 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
   const std::vector<CollectionId> ids = hosted_ids_sorted();
   std::vector<std::vector<ObjectRef>> pre_members(ids.size());
   std::vector<std::uint64_t> pre_incarnation(ids.size());
-  std::vector<char> pre_retired(ids.size(), 0);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     Hosted& entry = *collections_.at(ids[i]);
     // Tombstones of migrated-away fragments are control-plane state kept
     // across the crash (the directory never points here again); their stale
     // member list is inert and excluded from the ground-truth diff below.
-    pre_retired[i] = entry.retired ? 1 : 0;
     if (entry.retired) continue;
     if (!entry.primary.valid() && sink_ != nullptr) {
       // Only the ground-truth diff below needs this; with no sink, skip the
       // (block-backed: full-materialize) capture.
-      pre_members[i] = entry.orset != nullptr ? entry.orset->members()
-                                              : entry.state.members();
+      pre_members[i] = entry.members();
     }
     pre_incarnation[i] = entry.state.incarnation();
   }
@@ -1555,12 +1284,7 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     Hosted& entry = *collections_.at(ids[i]);
     if (entry.retired) continue;
-    entry.handoff_target = NodeId::invalid();
-    entry.frozen_by = 0;
-    entry.lease_timer.cancel();
-    entry.unfrozen->open();  // waiters resume, fail on the epoch check
-    entry.pin_count = 0;
-    entry.deferred_removes.clear();
+    release_locks(entry);  // waiters resume, fail on the epoch check
     for (Hosted::PushTarget& target : entry.push_targets) {
       target.acked_seq = 0;
       target.in_flight = false;
@@ -1572,9 +1296,8 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
       // which also re-covers context the WAL never carried (join merges
       // peers' contexts wholesale but only the *effective* ops were logged).
       *entry.orset = crdt::OrSet{ids[i]};
-      entry.orset_log.clear();
-      entry.orset_last_seq = 0;
-      entry.orset_cursors.clear();
+      entry.dots.reset(0);
+      entry.cursors.clear();
     }
     entry.state.wipe_volatile();
   }
@@ -1588,10 +1311,14 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
   // re-record through the op observer — suspend WAL appends meanwhile.
   wal_suspended_ = true;
   plan_ = reconstruct_from_disk();
+  wal_suspended_ = false;
   plan_.records_lost = next_before - next_after;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     Hosted& entry = *collections_.at(ids[i]);
-    if (entry.primary.valid() || entry.retired || pre_retired[i]) continue;
+    // Replicas keep following their primary's stream. A fragment that was
+    // (or turned out, via the WAL's kMigrationDone, to be) migrated away
+    // did not lose its members to the crash — they live at the new home.
+    if (entry.primary.valid() || entry.retired) continue;
     // A recovered primary starts a fresh op-sequence stream: ops it lost may
     // already have escaped to replicas and reader caches, so sequence
     // numbers it reissues must not collide with them. Bumping the
@@ -1606,37 +1333,25 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
       entry.orset->set_origin(
           crdt::make_origin(node_.raw(), entry.state.incarnation()));
     }
-  }
-  wal_suspended_ = false;
-
-  // Ground truth: the crash silently un-did every non-durable effective
-  // mutation (and resurrected members whose removal was not durable). Emit
-  // compensating events so the membership timeline matches reality.
-  if (sink_ != nullptr) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      Hosted& entry = *collections_.at(ids[i]);
-      // A fragment that was (or turned out, via the WAL's kMigrationDone,
-      // to be) migrated away did not lose its members to the crash — they
-      // live at the new home. No compensating events.
-      if (entry.primary.valid() || entry.retired || pre_retired[i]) continue;
-      std::vector<ObjectRef> before = pre_members[i];
-      std::vector<ObjectRef> after = entry.orset != nullptr
-                                         ? entry.orset->members()
-                                         : entry.state.members();
-      std::sort(before.begin(), before.end());
-      std::sort(after.begin(), after.end());
-      std::vector<ObjectRef> lost;
-      std::set_difference(before.begin(), before.end(), after.begin(),
-                          after.end(), std::back_inserter(lost));
-      std::vector<ObjectRef> resurrected;
-      std::set_difference(after.begin(), after.end(), before.begin(),
-                          before.end(), std::back_inserter(resurrected));
-      for (const ObjectRef ref : lost) {
-        sink_->on_mutation(ids[i], CollectionOp::Kind::kRemove, ref);
-      }
-      for (const ObjectRef ref : resurrected) {
-        sink_->on_mutation(ids[i], CollectionOp::Kind::kAdd, ref);
-      }
+    if (sink_ == nullptr) continue;
+    // Ground truth: the crash silently un-did every non-durable effective
+    // mutation (and resurrected members whose removal was not durable).
+    // Emit compensating events so the membership timeline matches reality.
+    std::vector<ObjectRef> before = std::move(pre_members[i]);
+    std::vector<ObjectRef> after = entry.members();
+    std::sort(before.begin(), before.end());
+    std::sort(after.begin(), after.end());
+    std::vector<ObjectRef> lost;
+    std::set_difference(before.begin(), before.end(), after.begin(),
+                        after.end(), std::back_inserter(lost));
+    std::vector<ObjectRef> resurrected;
+    std::set_difference(after.begin(), after.end(), before.begin(),
+                        before.end(), std::back_inserter(resurrected));
+    for (const ObjectRef ref : lost) {
+      sink_->on_mutation(ids[i], CollectionOp::Kind::kRemove, ref);
+    }
+    for (const ObjectRef ref : resurrected) {
+      sink_->on_mutation(ids[i], CollectionOp::Kind::kAdd, ref);
     }
   }
 }
@@ -1649,16 +1364,10 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
     plan.checkpoint_bytes = bytes->size();
     if (const auto image = wal::decode_checkpoint(*bytes)) {
       for (const wal::CollectionImage& coll : image->collections) {
-        const auto it = collections_.find(CollectionId{coll.collection});
-        if (it == collections_.end() || it->second->retired) continue;
-        std::vector<ObjectRef> members;
-        members.reserve(coll.members.size());
-        for (const auto& [object, home] : coll.members) {
-          members.emplace_back(ObjectId{object}, NodeId{home});
+        Hosted* entry = find_entry(CollectionId{coll.collection});
+        if (entry != nullptr && !entry->retired) {
+          restore_image(entry->state, coll);
         }
-        it->second->state.restore(std::move(members), coll.version,
-                                  coll.last_seq, coll.applied_seq,
-                                  coll.incarnation);
       }
     }
   }
@@ -1692,47 +1401,40 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
       ++plan.torn_tails;
       break;
     }
-    if (rec->kind == wal::WalRecord::kMigrationBegin) {
-      continue;  // begin without done: the fragment stays the live home
+    // A begin without done leaves the fragment the live home; records of
+    // unhosted or migrated-away fragments are inert.
+    Hosted* entry = find_entry(CollectionId{rec->collection});
+    if (entry == nullptr || entry->retired ||
+        rec->kind == wal::WalRecord::kMigrationBegin) {
+      continue;
     }
     if (rec->kind == wal::WalRecord::kMigrationDone) {
       // Authority durably transferred before the crash: tombstone the
       // fragment even though an older checkpoint (restored above) still
       // contains it. `seq` of a done record carries the directory epoch.
-      const auto done_it = collections_.find(CollectionId{rec->collection});
-      if (done_it != collections_.end() && !done_it->second->retired) {
-        done_it->second->retired = true;
-        done_it->second->retired_epoch = rec->seq;
-        done_it->second->handoff_target = NodeId::invalid();
-        done_it->second->state.wipe_volatile();
-      }
+      entry->retired = true;
+      entry->retired_epoch = rec->seq;
+      entry->handoff_target = NodeId::invalid();
+      entry->state.wipe_volatile();
       continue;
     }
     if (rec->kind == wal::WalRecord::kOrSetInsert ||
         rec->kind == wal::WalRecord::kOrSetKill) {
-      const auto orset_it = collections_.find(CollectionId{rec->collection});
-      if (orset_it == collections_.end() || orset_it->second->retired ||
-          orset_it->second->orset == nullptr) {
-        continue;
+      // Dot ops are idempotent and globally unique across incarnations (the
+      // origin is incarnation-salted): the whole retained history replays
+      // unconditionally. The outbound log is NOT rebuilt: peers see the
+      // incarnation change and full-state resync instead.
+      if (entry->orset != nullptr &&
+          entry->orset->apply(
+              dot_op(rec->kind == wal::WalRecord::kOrSetKill,
+                     ObjectRef{ObjectId{rec->object}, NodeId{rec->home}},
+                     rec->origin, rec->seq))) {
+        ++plan.ops_replayed;
       }
-      // Dot ops are idempotent and order-insensitive, and dots are globally
-      // unique across incarnations (the origin is incarnation-salted), so
-      // the whole retained history replays unconditionally — no contiguity
-      // or incarnation gating like the sequenced streams below. The
-      // outbound log is NOT rebuilt: peers detect the incarnation change
-      // and full-state resync instead of chasing replayed seqs.
-      const crdt::DotOp op{rec->kind == wal::WalRecord::kOrSetKill
-                               ? crdt::DotOp::Kind::kKill
-                               : crdt::DotOp::Kind::kInsert,
-                           ObjectRef{ObjectId{rec->object}, NodeId{rec->home}},
-                           crdt::Dot{rec->origin, rec->seq}};
-      if (orset_it->second->orset->apply(op)) ++plan.ops_replayed;
       continue;
     }
     if (stopped[rec->collection]) continue;
-    const auto it = collections_.find(CollectionId{rec->collection});
-    if (it == collections_.end() || it->second->retired) continue;
-    CollectionState& state = it->second->state;
+    CollectionState& state = entry->state;
     if (rec->incarnation != state.incarnation() ||
         rec->seq <= state.last_seq()) {
       continue;  // another stream, or already inside the checkpoint

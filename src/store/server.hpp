@@ -2,13 +2,18 @@
 
 // StoreServer: the repository server process on one node.
 //
-// Hosts object payloads (the node's "disk") and collection fragments, either
-// as the fragment primary or as a replica converging via pull-based
-// anti-entropy. Exposes the store protocol over RPC and implements the
-// freeze lock that the strong weak-set semantics (Figures 3/4) need: "typical
-// implementations would use locks to synchronize access to the set and its
-// elements" (section 3.1). Freezes carry a lease so that a crashed or
-// partitioned lock holder cannot block mutators forever.
+// Hosts object payloads (the node's "disk") and collection fragments: as the
+// fragment primary, as a replica of a primary, or as one write-accepting
+// host of an OR-Set fragment. Replicas and OR-Set hosts converge through
+// one anti-entropy engine — a pull driver, a push driver and one serving
+// path over each fragment's BoundedLog — with two merge policies: contiguous
+// apply of the primary's CollectionOp stream, and idempotent apply plus
+// join of dot ops (DESIGN.md decisions 9 and 16). Exposes the store
+// protocol over RPC and implements the freeze lock that the strong weak-set
+// semantics (Figures 3/4) need: "typical implementations would use locks to
+// synchronize access to the set and its elements" (section 3.1). Freezes
+// carry a lease so that a crashed or partitioned lock holder cannot block
+// mutators forever.
 
 #include <cstdint>
 #include <map>
@@ -25,6 +30,7 @@
 #include "store/admission.hpp"
 #include "store/block_backing.hpp"
 #include "store/collection.hpp"
+#include "store/messages.hpp"
 #include "store/object_store.hpp"
 #include "wal/sim_disk.hpp"
 #include "wal/wal.hpp"
@@ -156,9 +162,6 @@ class StoreServer {
   [[nodiscard]] CollectionState* collection(CollectionId id);
   [[nodiscard]] const CollectionState* collection(CollectionId id) const;
 
-  /// True if this node hosts `id` as a replica (not primary).
-  [[nodiscard]] bool is_replica(CollectionId id) const;
-
   // -- live fragment migration (src/placement, DESIGN.md decision 12) ------
 
   /// Cumulative data-path demand on one hosted fragment, for the load-aware
@@ -181,9 +184,11 @@ class StoreServer {
 
   /// True while starting a migration of `id` away from this node would break
   /// an in-progress protocol on it: frozen, pinned (deferred removals
-  /// pending), already in a handoff window, or push-replicated. Lock and
-  /// replication state do not transfer with a fragment, so the migration
-  /// engine refuses to start instead.
+  /// pending), already in a handoff window, pushing to replicas or
+  /// OR-Set-hosted. Lock and replication state do not transfer with a
+  /// fragment, so the migration engine refuses to start instead. (The
+  /// engine refuses every replicated fragment before it asks, so for pull-
+  /// and push-replicated fragments this is a second line of defence.)
   [[nodiscard]] bool migration_blocked(CollectionId id) const;
 
   /// Synchronous point-in-time image of a hosted fragment, in the durable
@@ -281,6 +286,12 @@ class StoreServer {
   }
 
  private:
+  /// A puller's position in one peer's op stream.
+  struct Cursor {
+    std::uint64_t after_seq = 0;
+    std::uint64_t incarnation = 0;
+  };
+
   struct Hosted {
     explicit Hosted(CollectionId id) : state(id) {}
     CollectionState state;
@@ -293,8 +304,11 @@ class StoreServer {
     // removals are deferred and applied at the last unpin.
     std::size_t pin_count = 0;
     std::vector<ObjectRef> deferred_removes;
-    // Push replication (primary side): per-replica ack cursors and
-    // in-flight markers.
+    // Anti-entropy, one engine for both replication modes: the hosts this
+    // entry pulls from (a replica's primary; every peer of an OR-Set host)
+    // and, with push_replication, the hosts it pushes its outbound log to,
+    // each with an ack cursor and an in-flight marker.
+    std::vector<NodeId> pull_from;
     struct PushTarget {
       explicit PushTarget(NodeId node) : node(node) {}
       NodeId node;
@@ -319,27 +333,53 @@ class StoreServer {
     std::uint64_t reads = 0;
     std::uint64_t ops = 0;
     std::map<std::uint64_t, std::uint64_t> reads_by_node;
+    void count_read(NodeId from) {
+      ++reads;
+      ++reads_by_node[from.raw()];
+    }
     // OR-Set multi-master mode (DESIGN.md decision 16). Non-null marks the
-    // entry as CRDT-hosted: membership RPCs mutate the OR-Set locally, the
-    // outbound log retains this host's *local* dot ops (contiguous seqs
-    // from 1, bounded by membership_log_cap), and the pull daemon drags
-    // every peer's log over with per-peer cursors. The entry's
-    // CollectionState is dormant except for its incarnation, which doubles
-    // as the dot-namespace salt (make_origin) and the log-stream id peers
-    // use to detect an amnesia restart.
+    // entry as CRDT-hosted: membership RPCs mutate the OR-Set locally,
+    // `dots` is the outbound log of this host's *local* dot ops (bounded by
+    // membership_log_cap), and `cursors` hold the pull position in every
+    // peer's log. The entry's CollectionState is dormant except for its
+    // incarnation, which doubles as the dot-namespace salt (make_origin) and
+    // the log-stream id peers use to detect an amnesia restart.
     std::unique_ptr<crdt::OrSet> orset;
-    std::deque<crdt::DotOp> orset_log;
-    std::uint64_t orset_last_seq = 0;
-    std::vector<NodeId> orset_peers;
-    struct OrSetCursor {
-      std::uint64_t after_seq = 0;
-      std::uint64_t incarnation = 0;
-    };
-    std::map<NodeId, OrSetCursor> orset_cursors;
+    BoundedLog<msg::OrSetWireOp> dots;
+    std::map<NodeId, Cursor> cursors;
     // Block storage engine mode (DESIGN.md decision 17): non-null routes
     // this fragment's members through the engine's paged buckets.
     std::unique_ptr<BlockBacking> backing;
+
+    // The membership as served, whichever replication mode holds it.
+    [[nodiscard]] std::size_t size() const {
+      return orset != nullptr ? orset->size() : state.size();
+    }
+    [[nodiscard]] std::uint64_t version() const {
+      return orset != nullptr ? orset->version() : state.version();
+    }
+    [[nodiscard]] std::vector<ObjectRef> members() const {
+      return orset != nullptr ? orset->members() : state.members();
+    }
+    [[nodiscard]] bool contains(ObjectRef ref) const {
+      return orset != nullptr ? orset->contains(ref) : state.contains(ref);
+    }
   };
+
+  /// What a data-path handler holds once its prologue passed: the entry, the
+  /// crash epoch it started in, and its admission slot (released when the
+  /// handler finishes).
+  struct Guarded {
+    Guarded(Hosted* entry, std::uint64_t epoch, AdmissionTicket ticket)
+        : entry(entry), epoch(epoch), ticket(std::move(ticket)) {}
+    Hosted* entry;
+    std::uint64_t epoch;
+    AdmissionTicket ticket;
+  };
+
+  // Anti-entropy merge policies (defined in server.cpp).
+  struct Contiguous;  // home-primary CollectionOp streams
+  struct DotOps;      // OR-Set dot-op streams
 
   /// What crash-time reconstruction found; recovery reports it as metrics
   /// once the (timed) restart-side recovery completes.
@@ -352,37 +392,66 @@ class StoreServer {
   };
 
   void register_handlers();
+  /// Creates the entry for a newly hosted fragment (unfrozen, unwired).
+  Hosted& emplace_entry(CollectionId id);
   Hosted& hosted(CollectionId id);
   /// The hosted entry (tombstones included); nullptr if never hosted.
-  [[nodiscard]] Hosted* find_entry(CollectionId id);
-  Task<void> pull_loop(CollectionId id, NodeId primary);
-  /// OR-Set anti-entropy daemon: pulls dot ops from every peer at
-  /// pull_interval, falling back to full-state join when a cursor expires.
-  Task<void> orset_pull_loop(CollectionId id);
-  /// Appends a *local* dot op to the outbound log (trimming to the cap) and
-  /// WALs it.
-  void orset_append_local(Hosted& entry, const crdt::DotOp& op);
+  [[nodiscard]] Hosted* find_entry(CollectionId id) const;
+  /// Re-resolves `id` after a co_await: the entry, or why the coroutine must
+  /// give up — a crash since `epoch`, an unhosted id, or (when
+  /// `retired_fails`) a fragment migrated away meanwhile.
+  Result<Hosted*> resolve(CollectionId id, std::uint64_t epoch,
+                          bool retired_fails);
+  /// The prologue of every collection data-path handler: refuse while
+  /// recovering, optionally take an admission slot, pay membership_latency,
+  /// then resolve the entry (retired → kWrongEpoch).
+  Task<Result<Guarded>> guard(CollectionId id, bool admit);
+  /// Charges shipping `entries` membership entries (membership_entry_cost
+  /// each; counted under `shipped` and, when non-null, one `event`), waits
+  /// the cost out, and re-resolves the entry.
+  Task<Result<Hosted*>> ship(CollectionId id, std::uint64_t epoch,
+                             std::size_t entries, const char* event,
+                             const char* shipped);
+
+  // The anti-entropy engine, one instance per merge policy.
+  /// Pull daemon: every pull_interval, asks each pull_from host for the ops
+  /// after this entry's cursor and merges the delta or snapshot.
+  template <class P>
+  Task<void> pull_loop(CollectionId id);
+  /// Starts a pusher for every idle push target behind the outbound log.
+  template <class P>
+  void trigger_pushes(CollectionId id);
+  /// One pusher per target: ships the log past its ack cursor until it is
+  /// caught up, or a push fails or stalls (pulls then repair).
+  template <class P>
+  Task<void> push_to(CollectionId id, Hosted::PushTarget& target);
+  /// Applies received ops under the policy's rule (paging their buckets in
+  /// first when the fragment is block-backed) and re-resolves the entry.
+  template <class P>
+  Task<Result<Hosted*>> apply_ops(CollectionId id, std::uint64_t epoch,
+                                  const std::vector<typename P::Op>& ops,
+                                  const char* applied);
+  /// coll.pull / orset.pull: the ops after the caller's cursor, or the
+  /// whole state when the cursor cannot be served op by op.
+  template <class P>
+  Task<Result<Payload>> handle_pull(NodeId from, Payload request);
+  /// coll.sync / orset.sync: applies a pushed batch and acks a cursor.
+  template <class P>
+  Task<Result<Payload>> handle_sync(NodeId from, Payload request);
+
+  /// One local membership write under the entry's replication mode: a
+  /// CollectionState op (logged and WALed by the op observer) or the dot ops
+  /// an OR-Set add/remove mints, appended to the outbound log and WALed.
+  /// True if the membership changed.
+  bool write_member(Hosted& entry, bool add, ObjectRef ref);
   /// WAL-appends one applied dot op (no-op when durability is off or during
   /// recovery replay).
   void orset_wal_append(Hosted& entry, const crdt::DotOp& op);
-  /// Pushes pending local dot ops of `id` to every lagging peer.
-  void trigger_orset_pushes(CollectionId id);
-  Task<void> orset_push_to(CollectionId id, Hosted::PushTarget& target);
   void release_freeze(Hosted& entry);
-  /// Primary side: pushes pending ops of `id` to every lagging target.
-  void trigger_pushes(CollectionId id);
-  Task<void> push_to(CollectionId id, Hosted::PushTarget& target);
+  /// Drops the entry's handoff window, freeze, pins and deferred removals —
+  /// protocol state that neither survives a crash nor moves with a fragment.
+  void release_locks(Hosted& entry);
 
-  /// Hooks the fragment's op log into the WAL (no-op when durability is
-  /// off).
-  void install_wal_observer(Hosted& entry);
-  /// Routes the fragment's members through the block engine (no-op unless
-  /// the engine is on or the fragment is OR-Set-hosted).
-  void attach_backing(CollectionId id, Hosted& entry);
-  /// Faults the buckets a membership op will touch, charging block reads
-  /// (no-op without the engine).
-  Task<void> fault_member(CollectionId id, ObjectRef ref);
-  Task<void> fault_ops(CollectionId id, const std::vector<CollectionOp>& ops);
   /// Background compaction daemon (spawned when the engine is on).
   Task<void> compaction_loop();
   /// Arms the (cancellable) checkpoint timer if it is not already armed.
@@ -412,9 +481,6 @@ class StoreServer {
   Task<Result<Payload>> handle_size(NodeId from, Payload request);
   Task<Result<Payload>> handle_freeze(NodeId from, Payload request);
   Task<Result<Payload>> handle_pin(NodeId from, Payload request);
-  Task<Result<Payload>> handle_pull(NodeId from, Payload request);
-  Task<Result<Payload>> handle_orset_pull(NodeId from, Payload request);
-  Task<Result<Payload>> handle_orset_sync(NodeId from, Payload request);
 
   RpcNetwork& net_;
   NodeId node_;

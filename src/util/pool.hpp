@@ -17,9 +17,13 @@
 // block may be allocated on one thread and freed on another (a cross-shard
 // message's payload, say); it simply joins the freeing thread's free list —
 // arena memory is never returned, so ownership of a block is just a pointer
-// in somebody's list. Each per-thread state is registered with
-// detail::keep_reachable so leak checkers still classify pool memory as
-// still-reachable after a worker thread (and its thread_local pointer) exits.
+// in somebody's list. Per-thread states are never destroyed: a thread claims
+// one on first use (detail::thread_state) and hands it back when it exits,
+// so the next thread to start reuses it. A process that keeps starting
+// worker threads (one pool per sharded world) thus holds as many states as
+// it ever ran threads at once, not one per thread it ever started. Parked
+// states stay in a process-global registry, so leak checkers classify pool
+// memory as still-reachable.
 //
 // VectorPool<T> recycles whole std::vector<T> objects (capacity and all) for
 // the store's reply buffers — member lists and op batches that are built on
@@ -33,9 +37,40 @@
 namespace weakset {
 
 namespace detail {
-/// Parks a heap pointer in a process-global registry so it stays reachable
-/// forever. Called once per thread per pool type (never on a hot path).
-void keep_reachable(void* pointer);
+/// Hands out a state of pool type `kind` that an exited thread returned
+/// (nullptr if none is free). Never on a hot path: once per thread per type.
+void* claim_state(const void* kind);
+/// Registers a freshly made state (now in use) so it stays reachable for
+/// the life of the process.
+void register_state(void* state);
+/// Returns a thread's state of `kind` for reuse (at thread exit).
+void return_state(const void* kind, void* state);
+/// Pool states made so far, of every type (diagnostics and tests).
+std::size_t pool_states();
+
+/// The calling thread's pool state of type T: claimed (or made) on first
+/// use and returned when the thread exits. The raw pointer outlives the
+/// return, so a static-duration destructor that frees pooled blocks at
+/// process exit still finds the main thread's state.
+template <typename T>
+T& thread_state() {
+  static const char kind = 0;  // its address keys T's states
+  struct Lease {
+    T* state = nullptr;
+    ~Lease() { return_state(&kind, state); }
+  };
+  static thread_local T* state = nullptr;
+  if (state == nullptr) {
+    static thread_local Lease lease;
+    state = static_cast<T*>(claim_state(&kind));
+    if (state == nullptr) {
+      state = new T;
+      register_state(state);
+    }
+    lease.state = state;
+  }
+  return *state;
+}
 }  // namespace detail
 
 class BlockPool {
@@ -88,18 +123,10 @@ class BlockPool {
   }
 
   static State& instance() {
-    // One State per thread, truly leaked (never destroyed): pooled blocks can
-    // be freed from other static-duration objects' destructors, which must
-    // not race the pool's own teardown, and blocks freed cross-thread must
-    // not dangle when the allocating thread exits. keep_reachable parks the
-    // pointer so leak checkers classify the memory as still-reachable even
-    // after the thread_local pointer itself is gone.
-    static thread_local State* state = [] {
-      auto* fresh = new State;
-      detail::keep_reachable(fresh);
-      return fresh;
-    }();
-    return *state;
+    // Never destroyed (see detail::thread_state): pooled blocks can be freed
+    // from other static-duration objects' destructors, and blocks freed
+    // cross-thread must not dangle when the allocating thread exits.
+    return detail::thread_state<State>();
   }
 };
 
@@ -151,15 +178,10 @@ class VectorPool {
  private:
   static constexpr std::size_t kMaxParked = 64;
   static std::vector<std::vector<T>>& freelist() {
-    // Per-thread and leaked like BlockPool::instance(): release() must stay
-    // callable from static-duration destructors in any order, and shard
-    // workers must never contend on the list.
-    static thread_local auto* parked = [] {
-      auto* fresh = new std::vector<std::vector<T>>;
-      detail::keep_reachable(fresh);
-      return fresh;
-    }();
-    return *parked;
+    // Per-thread and never destroyed, like BlockPool::instance(): release()
+    // must stay callable from static-duration destructors in any order, and
+    // shard workers must never contend on the list.
+    return detail::thread_state<std::vector<std::vector<T>>>();
   }
 };
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
@@ -1056,9 +1057,13 @@ struct ReplicationCell {
   std::string metrics_json;
 };
 
+/// `push` turns on push replication (pull anti-entropy still runs
+/// underneath); `crash` amnesia-crashes replica host s2 inside the partition
+/// window and restarts it before the heal.
 ReplicationCell run_replication_cell(Semantics semantics, ReplicationMode mode,
                                      PartitionSchedule schedule,
-                                     std::uint64_t seed) {
+                                     std::uint64_t seed, bool push = false,
+                                     bool crash = false) {
   obs::MetricsRegistry reg;
   Simulator sim;
   Topology topo;
@@ -1072,6 +1077,7 @@ ReplicationCell run_replication_cell(Semantics semantics, ReplicationMode mode,
   Repository repo{net};
   StoreServerOptions server_options;
   server_options.pull_interval = Duration::millis(20);
+  server_options.push_replication = push;
   server_options.metrics = &reg;
   for (const NodeId node : servers) repo.add_server(node, server_options);
 
@@ -1109,6 +1115,16 @@ ReplicationCell run_replication_cell(Semantics semantics, ReplicationMode mode,
     }
   });
   sim.schedule(Duration::millis(160), [&topo] { topo.heal(); });
+  if (crash) {
+    // s2 is a replica in home mode and a peer in OR-Set mode; it sits on
+    // the primary's side of isolate-minority and the client's side of
+    // isolate-primary.
+    sim.schedule(Duration::millis(40), [&topo, &servers] {
+      topo.crash(servers[2], Topology::CrashKind::kAmnesia);
+    });
+    sim.schedule(Duration::millis(90),
+                 [&topo, &servers] { topo.restart(servers[2]); });
+  }
 
   // Four scripted adds through the RPC client, all landing inside the
   // partition window (abs. 120-220ms): home mode must route them to the
@@ -1119,11 +1135,15 @@ ReplicationCell run_replication_cell(Semantics semantics, ReplicationMode mode,
   auto accepted = std::make_shared<std::size_t>(0);
   auto rejected = std::make_shared<std::size_t>(0);
   Rng script_rng{seed + 1};
-  for (int i = 0; i < 4; ++i) {
+  // The push and crash axes add a fifth write after the heal, so home mode
+  // pushes too and the recovered host's stream is exercised.
+  const int writes = push || crash ? 5 : 4;
+  for (int i = 0; i < writes; ++i) {
     const ObjectRef ref =
         repo.create_object(servers[1], "x" + std::to_string(i));
     const Duration at =
-        Duration::millis(20 + static_cast<int>(script_rng.uniform(100)));
+        i < 4 ? Duration::millis(20 + static_cast<int>(script_rng.uniform(100)))
+              : Duration::millis(200);
     sim.schedule(at, [&sim, &mutator, coll, ref, accepted, rejected] {
       sim.spawn([](RepositoryClient& c, CollectionId id, ObjectRef r,
                    std::shared_ptr<std::size_t> ok,
@@ -1221,7 +1241,16 @@ ReplicationCell run_replication_cell(Semantics semantics, ReplicationMode mode,
         spec::check_converged(spec::orset_fragment_members(repo, coll, 0))
             .satisfied();
   } else {
-    cell.converged = true;  // home mode: the primary is the value
+    // Home mode: every replica must hold the primary's membership.
+    std::vector<std::pair<std::string, std::vector<ObjectRef>>> hosts;
+    for (const NodeId node : servers) {
+      std::vector<ObjectRef> members =
+          repo.server_at(node)->collection(coll)->members();
+      std::sort(members.begin(), members.end());
+      hosts.emplace_back("node" + std::to_string(node.raw()),
+                         std::move(members));
+    }
+    cell.converged = spec::check_converged(hosts).satisfied();
   }
   repo.stop_all_daemons();
   sim.run();  // drain daemons so coroutine frames unwind
@@ -1249,6 +1278,7 @@ TEST_P(ReplicationModeSweep, Fig6OrSetServesWhereHomePrimaryBlocks) {
   // out against the reachable replica), but only OR-Set accepts writes.
   EXPECT_TRUE(home.finished);
   EXPECT_TRUE(orset.finished);
+  EXPECT_TRUE(home.converged) << to_string(schedule());
   EXPECT_EQ(orset.accepted, 4u) << to_string(schedule());
   EXPECT_EQ(orset.rejected, 0u) << to_string(schedule());
   EXPECT_TRUE(orset.converged) << to_string(schedule());
@@ -1286,6 +1316,55 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(PartitionSchedule::kNone,
                                          PartitionSchedule::kIsolateMinority,
                                          PartitionSchedule::kIsolatePrimary),
+                       ::testing::Range<std::uint64_t>(600, 603)));
+
+// Push replication and a replica-host amnesia crash, alone and together,
+// crossed with both modes and every partition schedule (with neither, the
+// cells are ReplicationModeSweep's): whichever path delivered the ops —
+// pushes, pulls, snapshot installs or joins after the crash — every host
+// agrees once the partition heals and anti-entropy quiesces.
+enum class ReplicationAxes { kPush, kCrash, kPushAndCrash };
+
+class ReplicationPushCrashSweep
+    : public ::testing::TestWithParam<std::tuple<
+          ReplicationMode, PartitionSchedule, ReplicationAxes, std::uint64_t>> {
+};
+
+TEST_P(ReplicationPushCrashSweep, Fig6ConvergesAfterHeal) {
+  const auto [mode, schedule, axes, seed] = GetParam();
+  const bool push = axes != ReplicationAxes::kCrash;
+  const bool crash = axes != ReplicationAxes::kPush;
+  const ReplicationCell cell = run_replication_cell(
+      Semantics::kFig6Optimistic, mode, schedule, seed, push, crash);
+  const std::string label =
+      std::string(mode == ReplicationMode::kOrSet ? "orset" : "home-primary") +
+      " " + to_string(schedule) + (push ? " push" : "") +
+      (crash ? " crash" : "") + " seed " + std::to_string(seed);
+  EXPECT_TRUE(cell.finished || cell.failure.has_value()) << label;
+  EXPECT_EQ(cell.accepted + cell.rejected, 5u) << label;
+  EXPECT_TRUE(cell.converged) << label;
+  // Each axis really ran: pushes went out, the crash wiped and recovered.
+  const bool pushed =
+      cell.metrics_json.find(mode == ReplicationMode::kOrSet
+                                 ? "\"store.orset.pushes\""
+                                 : "\"store.server.pushes\"") !=
+      std::string::npos;
+  EXPECT_EQ(pushed, push) << label;
+  EXPECT_EQ(cell.metrics_json.find("\"wal.recoveries\"") != std::string::npos,
+            crash)
+      << label;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PushCrash, ReplicationPushCrashSweep,
+    ::testing::Combine(::testing::Values(ReplicationMode::kHomePrimary,
+                                         ReplicationMode::kOrSet),
+                       ::testing::Values(PartitionSchedule::kNone,
+                                         PartitionSchedule::kIsolateMinority,
+                                         PartitionSchedule::kIsolatePrimary),
+                       ::testing::Values(ReplicationAxes::kPush,
+                                         ReplicationAxes::kCrash,
+                                         ReplicationAxes::kPushAndCrash),
                        ::testing::Range<std::uint64_t>(600, 603)));
 
 TEST(ReplicationModeDeterminism, SameCellTwiceIsByteIdentical) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "load/workload.hpp"
@@ -19,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "store/repository.hpp"
 #include "util/rng.hpp"
+#include "util/shard.hpp"
 
 namespace weakset::load {
 namespace {
@@ -166,6 +168,66 @@ TEST(LoadEngineTest, OpenLoopAccounting) {
   const auto* latency = world.metrics.histogram("load.op_latency_ns");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), stats.ops_offered);
+}
+
+TEST(LoadEngineTest, ShardedBuildNeedsNoCallerGuard) {
+  // build() seeds collections, arming every server's checkpoint timer. It
+  // must home that work on the serial shard itself: seeded from the driver
+  // thread's shard 0, checkpoints ran on shard 0 while each server handled
+  // RPCs on its own shard — a data race, and event counts that differed
+  // between same-seed runs.
+  struct Outcome {
+    std::uint64_t events = 0;
+    std::string telemetry;
+  };
+  auto run = [] {
+    Simulator sim;
+    Topology topo;
+    obs::MetricsRegistry metrics;
+    std::vector<NodeId> servers;
+    std::vector<NodeId> gateways;
+    for (int i = 0; i < 3; ++i) {
+      servers.push_back(topo.add_node("server" + std::to_string(i)));
+    }
+    for (int i = 0; i < 2; ++i) {
+      gateways.push_back(topo.add_node("gw" + std::to_string(i)));
+    }
+    topo.connect_full_mesh(Duration::millis(2));
+    const auto nodes = static_cast<std::uint32_t>(topo.node_count());
+    sim.configure_shards(nodes, /*workers=*/4, Duration::millis(2));
+    for (std::uint32_t n = 0; n < nodes; ++n) sim.assign_node_shard(n, n);
+    obs::global().enable_sharding(nodes + 1);  // + the serial shard
+    metrics.enable_sharding(nodes + 1);
+    RpcOptions rpc_options;
+    rpc_options.metrics = &metrics;
+    RpcNetwork net{sim, topo, Rng{17}, rpc_options};
+    Repository repo{net};
+    StoreServerOptions sopts;
+    sopts.metrics = &metrics;
+    // Checkpoints inside the run, while the servers are busy.
+    sopts.durability.checkpoint_interval = Duration::millis(5);
+    for (const NodeId node : servers) {
+      ShardGuard guard{sim.node_shard(node.raw())};
+      repo.add_server(node, sopts);
+    }
+    LoadOptions options = small_options();
+    options.mode = ArrivalMode::kOpenLoop;
+    options.metrics = &metrics;
+    LoadEngine engine{repo, gateways, options};
+    engine.build();  // deliberately no ShardGuard here
+    engine.run_to_completion();
+    expect_consistent(engine.stats(), options);
+    repo.stop_all_daemons();
+    sim.run();
+    return Outcome{sim.events_processed(), metrics.to_json()};
+  };
+  const Outcome first = run();
+  const Outcome second = run();
+  EXPECT_GT(first.events, 0u);
+  EXPECT_EQ(first.events, second.events);
+  EXPECT_EQ(first.telemetry, second.telemetry);
+  // The seeding's WAL appends did arm checkpoints, and they ran.
+  EXPECT_NE(first.telemetry.find("\"wal.checkpoints\""), std::string::npos);
 }
 
 TEST(LoadEngineTest, SameSeedIsDeterministic) {

@@ -9,6 +9,7 @@
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/shard.hpp"
 
@@ -618,6 +619,37 @@ TEST(ShardedSimulatorTest, SpawnedCoroutineStaysOnItsShard) {
   sim.run();
   EXPECT_EQ(seen_raw[0], 0u);
   EXPECT_EQ(seen_raw[1], 1u);
+}
+
+TEST(ShardedSimulatorTest, SequentialWorldsReuseWorkerPoolStates) {
+  // Each sharded world spawns its own worker thread, which claims pool
+  // states (coroutine frames freed there, a VectorPool round trip). Threads
+  // hand their states back at exit, so twenty worlds in a row make no more
+  // states than the first one did: the count tracks the peak number of
+  // threads, not the number of worlds.
+  auto world = [] {
+    Simulator sim;
+    sim.configure_shards(2, 2, Duration::micros(10));
+    auto work = [](Simulator& sim) -> Task<void> {
+      for (int i = 0; i < 3; ++i) {
+        co_await sim.delay(Duration::micros(20));
+        std::vector<int> buffer = VectorPool<int>::acquire();
+        buffer.push_back(i);
+        VectorPool<int>::release(std::move(buffer));
+      }
+    };
+    for (const std::uint32_t shard : {0u, 1u}) {
+      ShardGuard guard{shard};
+      sim.spawn(work(sim));
+    }
+    sim.run();
+  };
+  const std::size_t before = detail::pool_states();
+  world();
+  const std::size_t after_first = detail::pool_states();
+  for (int i = 1; i < 20; ++i) world();
+  EXPECT_GT(after_first, before);  // the worker thread did claim states
+  EXPECT_EQ(detail::pool_states(), after_first);
 }
 
 TEST(ShardedSimulatorTest, RunUntilAdvancesAllShardClocks) {

@@ -55,6 +55,13 @@ ObjectRef ref(std::uint64_t object, std::uint64_t node = 0) {
   return ObjectRef{ObjectId{object}, NodeId{node}};
 }
 
+std::vector<CollectionOp> ops_since(const CollectionState& state,
+                                    std::uint64_t after_seq) {
+  std::vector<CollectionOp> out;
+  state.log().slice(after_seq, out);
+  return out;
+}
+
 TEST(CollectionStateTest, AddAndContains) {
   CollectionState state{CollectionId{0}};
   EXPECT_TRUE(state.add(ref(1)));
@@ -101,14 +108,14 @@ TEST(CollectionStateTest, OpLogIsContiguous) {
   state.add(ref(1));
   state.add(ref(2));
   state.remove(ref(1));
-  const auto ops = state.ops_since(0);
+  const auto ops = ops_since(state, 0);
   ASSERT_EQ(ops.size(), 3u);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     EXPECT_EQ(ops[i].seq(), i + 1);
   }
   EXPECT_EQ(ops[2].kind(), CollectionOp::Kind::kRemove);
-  EXPECT_EQ(state.ops_since(2).size(), 1u);
-  EXPECT_TRUE(state.ops_since(3).empty());
+  EXPECT_EQ(ops_since(state, 2).size(), 1u);
+  EXPECT_TRUE(ops_since(state, 3).empty());
 }
 
 TEST(CollectionStateTest, ReplicaConvergesViaApply) {
@@ -117,7 +124,7 @@ TEST(CollectionStateTest, ReplicaConvergesViaApply) {
   primary.add(ref(1));
   primary.add(ref(2));
   primary.remove(ref(1));
-  for (const auto& op : primary.ops_since(replica.applied_seq())) {
+  for (const auto& op : ops_since(primary, replica.applied_seq())) {
     replica.apply(op);
   }
   EXPECT_EQ(replica.size(), 1u);
@@ -129,7 +136,7 @@ TEST(CollectionStateTest, ApplyIsIdempotent) {
   CollectionState primary{CollectionId{0}};
   CollectionState replica{CollectionId{0}};
   primary.add(ref(1));
-  const auto ops = primary.ops_since(0);
+  const auto ops = ops_since(primary, 0);
   replica.apply(ops[0]);
   replica.apply(ops[0]);  // duplicate delivery
   EXPECT_EQ(replica.size(), 1u);
@@ -141,10 +148,10 @@ TEST(CollectionStateTest, BoundedLogTruncatesButSeqSurvives) {
   state.set_log_cap(4);
   for (std::uint64_t i = 0; i < 10; ++i) state.add(ref(i));
   EXPECT_EQ(state.last_seq(), 10u);
-  EXPECT_EQ(state.log_floor_seq(), 7u);  // ops 7..10 retained
-  EXPECT_FALSE(state.can_serve_ops_since(5));  // op 6 already dropped
-  EXPECT_TRUE(state.can_serve_ops_since(6));
-  const auto ops = state.ops_since(6);
+  EXPECT_EQ(state.log().floor(), 6u);  // ops 7..10 retained
+  EXPECT_FALSE(state.log().can_serve_since(5));  // op 6 already dropped
+  EXPECT_TRUE(state.log().can_serve_since(6));
+  const auto ops = ops_since(state, 6);
   ASSERT_EQ(ops.size(), 4u);
   EXPECT_EQ(ops.front().seq(), 7u);
   EXPECT_EQ(ops.back().seq(), 10u);
@@ -153,17 +160,17 @@ TEST(CollectionStateTest, BoundedLogTruncatesButSeqSurvives) {
 TEST(CollectionStateTest, CapZeroKeepsEverything) {
   CollectionState state{CollectionId{0}};
   for (std::uint64_t i = 0; i < 100; ++i) state.add(ref(i));
-  EXPECT_EQ(state.log_floor_seq(), 1u);
-  EXPECT_TRUE(state.can_serve_ops_since(0));
-  EXPECT_EQ(state.ops_since(0).size(), 100u);
+  EXPECT_EQ(state.log().floor(), 0u);
+  EXPECT_TRUE(state.log().can_serve_since(0));
+  EXPECT_EQ(ops_since(state, 0).size(), 100u);
 }
 
 TEST(CollectionStateTest, ShrinkingCapTrimsRetroactively) {
   CollectionState state{CollectionId{0}};
   for (std::uint64_t i = 0; i < 8; ++i) state.add(ref(i));
   state.set_log_cap(3);
-  EXPECT_EQ(state.log_floor_seq(), 6u);
-  EXPECT_EQ(state.ops_since(5).size(), 3u);
+  EXPECT_EQ(state.log().floor(), 5u);
+  EXPECT_EQ(ops_since(state, 5).size(), 3u);
 }
 
 TEST(CollectionStateTest, InstallReplacesStateAndResetsLog) {
@@ -177,13 +184,13 @@ TEST(CollectionStateTest, InstallReplacesStateAndResetsLog) {
   EXPECT_EQ(replica.applied_seq(), 42u);
   // The local log restarts at the install point: readers behind it must
   // take a snapshot, readers at it have nothing to catch up.
-  EXPECT_FALSE(replica.can_serve_ops_since(41));
-  EXPECT_TRUE(replica.can_serve_ops_since(42));
-  EXPECT_TRUE(replica.ops_since(42).empty());
+  EXPECT_FALSE(replica.log().can_serve_since(41));
+  EXPECT_TRUE(replica.log().can_serve_since(42));
+  EXPECT_TRUE(ops_since(replica, 42).empty());
   // And the log resumes cleanly past the installed sequence.
   EXPECT_TRUE(replica.add(ref(4)));
-  EXPECT_EQ(replica.ops_since(42).size(), 1u);
-  EXPECT_EQ(replica.ops_since(42).front().seq(), 43u);
+  EXPECT_EQ(ops_since(replica, 42).size(), 1u);
+  EXPECT_EQ(ops_since(replica, 42).front().seq(), 43u);
 }
 
 TEST(CollectionStateTest, ReplicaRelogsAppliedOpsAndServesDeltas) {
@@ -194,10 +201,10 @@ TEST(CollectionStateTest, ReplicaRelogsAppliedOpsAndServesDeltas) {
   primary.add(ref(1));
   primary.add(ref(2));
   primary.remove(ref(1));
-  for (const auto& op : primary.ops_since(0)) replica.apply(op);
+  for (const auto& op : ops_since(primary, 0)) replica.apply(op);
   EXPECT_EQ(replica.last_seq(), 3u);
-  EXPECT_TRUE(replica.can_serve_ops_since(0));
-  EXPECT_EQ(replica.ops_since(0), primary.ops_since(0));
+  EXPECT_TRUE(replica.log().can_serve_since(0));
+  EXPECT_EQ(ops_since(replica, 0), ops_since(primary, 0));
 }
 
 TEST(CollectionStateTest, ReplayPreservesMemberOrder) {
@@ -208,7 +215,7 @@ TEST(CollectionStateTest, ReplayPreservesMemberOrder) {
   for (std::uint64_t i = 0; i < 5; ++i) primary.add(ref(i));
   primary.remove(ref(1));  // swap-with-last: 4 moves into slot 1
   MemberList mirror;
-  for (const auto& op : primary.ops_since(0)) {
+  for (const auto& op : ops_since(primary, 0)) {
     if (op.kind() == CollectionOp::Kind::kAdd) {
       mirror.insert(op.ref());
     } else {
