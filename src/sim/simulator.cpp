@@ -294,6 +294,7 @@ bool Simulator::step_sharded(SimTime cap) {
     // also capped at the next serial event (it may mutate global state) and
     // at the caller's deadline.
     horizon = t_regular + lookahead_;
+    inclusive = false;
     if (t_serial < horizon) horizon = t_serial;
     if (cap != SimTime::max() && cap + Duration::nanos(1) < horizon) {
       horizon = cap + Duration::nanos(1);
