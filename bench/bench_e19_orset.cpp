@@ -161,23 +161,29 @@ void BM_OrSetAvailability(benchmark::State& state) {
 
   for (auto _ : state) {
     OrSetWorld world{replicas, /*seed=*/0xe19};
-    const CollectionId coll =
-        world.repo->create_collection({world.servers[0]}, mode);
-    for (std::size_t i = 1; i < world.servers.size(); ++i) {
-      world.repo->add_replica(coll, 0, world.servers[i]);
-    }
+    CollectionId coll;
     std::vector<ObjectRef> members;
-    for (int i = 0; i < kSeedMembers; ++i) {
-      const NodeId home =
-          world.servers[static_cast<std::size_t>(i) % world.servers.size()];
-      const ObjectRef ref =
-          world.repo->create_object(home, "seed-" + std::to_string(i));
-      members.push_back(ref);
-      if (mode == ReplicationMode::kOrSet) {
-        world.repo->server_at(world.servers[0])
-            ->seed_orset_member(coll, ref);
-      } else {
-        world.repo->seed_member(coll, ref);
+    {
+      // Setup spawns each host's anti-entropy loop, and seeding arms each
+      // durable server's checkpoint timer, on the current shard. Build on
+      // the serial shard, whose events run alone (cf. LoadEngine::build()):
+      // from a worker shard they would race the servers' own handlers.
+      ShardGuard setup_guard{world.sim.serial_shard()};
+      coll = world.repo->create_collection({world.servers[0]}, mode);
+      for (std::size_t i = 1; i < world.servers.size(); ++i) {
+        world.repo->add_replica(coll, 0, world.servers[i]);
+      }
+      for (int i = 0; i < kSeedMembers; ++i) {
+        const NodeId home =
+            world.servers[static_cast<std::size_t>(i) % world.servers.size()];
+        const ObjectRef ref =
+            world.repo->create_object(home, "seed-" + std::to_string(i));
+        members.push_back(ref);
+        if (mode == ReplicationMode::kOrSet) {
+          world.repo->server_at(world.servers[0])->seed_orset_member(coll, ref);
+        } else {
+          world.repo->seed_member(coll, ref);
+        }
       }
     }
     // Replicas/peers absorb the seeds before the write window opens.

@@ -523,6 +523,37 @@ TEST_F(RepositoryTest, FreezeLeaseExpiresAfterHolderVanishes) {
   EXPECT_GE(sim.now() - start, Duration::millis(450));
 }
 
+TEST_F(RepositoryTest, FreezeAllRollsBackWhenALaterPrimaryFails) {
+  // Three fragments on three primaries. freeze_all locks in ascending node
+  // order, so the first two primaries are frozen before the third — cut off
+  // from the client — refuses.
+  const CollectionId coll = repo.create_collection(server_nodes);
+  const CollectionMeta& meta = repo.meta(coll);
+  topo.partition({{client_node, server_nodes[0], server_nodes[1]},
+                  {server_nodes[2]}});
+  RepositoryClient locker{repo, client_node};
+  const auto frozen = run_task(sim, locker.freeze_all(coll));
+  ASSERT_FALSE(frozen.has_value());
+
+  // Every freeze already taken was released: another client's writes to
+  // those fragments commit at once instead of queueing behind the 10 s
+  // lease (the 2 s RPC timeout would fail them first).
+  RepositoryClient writer{repo, client_node};
+  for (std::size_t f = 0; f < 2; ++f) {
+    ObjectRef obj = repo.create_object(server_nodes[0], "x");
+    while (meta.fragment_of(obj) != f) {
+      obj = repo.create_object(server_nodes[0], "x");
+    }
+    const SimTime start = sim.now();
+    const auto added = run_task(sim, writer.add(coll, obj));
+    ASSERT_TRUE(added.has_value()) << "fragment " << f;
+    EXPECT_TRUE(added.value());
+    EXPECT_LT(sim.now() - start, Duration::millis(100)) << "fragment " << f;
+    const auto* state = repo.server_at(server_nodes[f])->collection(coll);
+    EXPECT_TRUE(state->contains(obj)) << "fragment " << f;
+  }
+}
+
 TEST_F(RepositoryTest, DeltaReplyCursorMatchesShippedOps) {
   // Regression: handle_read_delta used to read the reply's cursor *after*
   // the per-op shipping delay. A mutation landing inside that window was
