@@ -12,13 +12,14 @@
 // The price is currency: a hit may serve an old version (bounded by the
 // cache TTL). That trade is exactly the paper's "users are usually willing
 // to tolerate some inconsistency for a gain in performance".
+// HoardingSetView (hoard_view.hpp) derives from it, adding only the hoard.
 
 #include "core/set_view.hpp"
 #include "store/cache.hpp"
 
 namespace weakset {
 
-class CachingSetView final : public SetView {
+class CachingSetView : public SetView {
  public:
   CachingSetView(SetView& inner, CacheOptions options = {})
       : inner_(inner), sim_(inner.sim()), cache_(options) {}
@@ -96,9 +97,11 @@ class CachingSetView final : public SetView {
     return cache_.stats();
   }
 
- private:
+ protected:
+  [[nodiscard]] SetView& inner() const noexcept { return inner_; }
   [[nodiscard]] SimTime now() const { return sim_.now(); }
 
+ private:
   SetView& inner_;
   Simulator& sim_;
   mutable ObjectCache cache_;

@@ -14,12 +14,15 @@
 // at hoard time, so mutations during the disconnection are invisible —
 // offline runs may yield removed members (ghosts) and miss additions. The
 // spec layer quantifies exactly that (tests/hoard_test.cpp).
+//
+// The hoard is a CachingSetView's cache: fetches, batched fetches,
+// reachability and distance are the caching view's cache-through paths.
+// Only hoard() and the membership fallback are the hoard's own.
 
 #include <optional>
 #include <vector>
 
-#include "core/set_view.hpp"
-#include "store/cache.hpp"
+#include "core/caching_view.hpp"
 
 namespace weakset {
 
@@ -28,21 +31,21 @@ struct HoardStats {
   std::uint64_t hoards = 0;                   ///< completed hoard() calls
 };
 
-class HoardingSetView final : public SetView {
+class HoardingSetView final : public CachingSetView {
  public:
   explicit HoardingSetView(SetView& inner, CacheOptions cache_options = {})
-      : inner_(inner), sim_(inner.sim()), cache_(cache_options) {}
+      : CachingSetView(inner, cache_options) {}
 
   /// While connected: reads the membership and fetches every member into
   /// the hoard. Fails if the membership read fails; unreachable members are
   /// skipped (they simply won't be available offline).
   Task<Result<void>> hoard() {
-    Result<std::vector<ObjectRef>> members = co_await inner_.read_members();
+    Result<std::vector<ObjectRef>> members = co_await inner().read_members();
     if (!members) co_return std::move(members).error();
     for (const ObjectRef ref : members.value()) {
-      if (cache_.contains(ref, sim_.now())) continue;
-      Result<VersionedValue> value = co_await inner_.fetch(ref);
-      if (value) cache_.put(ref, std::move(value).value(), sim_.now());
+      if (cache().contains(ref, now())) continue;
+      Result<VersionedValue> value = co_await inner().fetch(ref);
+      if (value) cache().put(ref, std::move(value).value(), now());
     }
     hoarded_membership_ = std::move(members).value();
     ++stats_.hoards;
@@ -52,15 +55,15 @@ class HoardingSetView final : public SetView {
   [[nodiscard]] bool has_hoard() const noexcept {
     return hoarded_membership_.has_value();
   }
+  /// Hoard counters (the cache's own are at cache().stats()).
   [[nodiscard]] const HoardStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] ObjectCache& cache() noexcept { return cache_; }
 
   // -- SetView ---------------------------------------------------------------
 
   /// Live read while connected; the hoarded membership when the live read
   /// fails (the disconnection).
   Task<Result<std::vector<ObjectRef>>> read_members() override {
-    Result<std::vector<ObjectRef>> live = co_await inner_.read_members();
+    Result<std::vector<ObjectRef>> live = co_await inner().read_members();
     if (live) {
       served_from_hoard_ = false;
       co_return live;
@@ -78,74 +81,10 @@ class HoardingSetView final : public SetView {
     // A hoard serve ships the (locally) full hoarded membership; otherwise
     // report whatever the live inner read did.
     if (served_from_hoard_) return MembershipReadMode{1, 0};
-    return inner_.last_read_mode();
+    return inner().last_read_mode();
   }
-
-  /// Snapshots need the live system; disconnected snapshots would be a
-  /// contradiction in terms.
-  Task<Result<std::vector<ObjectRef>>> snapshot_atomic(
-      std::function<void()> on_cut) override {
-    return inner_.snapshot_atomic(std::move(on_cut));
-  }
-  Task<Result<void>> freeze() override { return inner_.freeze(); }
-  Task<void> unfreeze() override { return inner_.unfreeze(); }
-  Task<Result<void>> pin_grow_only() override {
-    return inner_.pin_grow_only();
-  }
-  Task<void> unpin_grow_only() override { return inner_.unpin_grow_only(); }
-
-  [[nodiscard]] bool is_reachable(ObjectRef ref) const override {
-    return cache_.contains(ref, sim_.now()) || inner_.is_reachable(ref);
-  }
-  [[nodiscard]] std::optional<Duration> distance(
-      ObjectRef ref) const override {
-    if (cache_.contains(ref, sim_.now())) return Duration::zero();
-    return inner_.distance(ref);
-  }
-
-  Task<Result<VersionedValue>> fetch(ObjectRef ref) override {
-    if (auto hit = cache_.get(ref, sim_.now())) co_return std::move(*hit);
-    Result<VersionedValue> value = co_await inner_.fetch(ref);
-    if (value) cache_.put(ref, value.value(), sim_.now());
-    co_return value;
-  }
-
-  Task<std::vector<Result<VersionedValue>>> fetch_many(
-      std::vector<ObjectRef> refs) override {
-    // Hoard hits serve locally (they are the point of hoarding); misses go
-    // out batched while connected, and every result joins the hoard.
-    std::vector<std::optional<Result<VersionedValue>>> slots(refs.size());
-    std::vector<ObjectRef> misses;
-    std::vector<std::size_t> miss_index;
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      if (auto hit = cache_.get(refs[i], sim_.now())) {
-        slots[i] = std::move(*hit);
-      } else {
-        misses.push_back(refs[i]);
-        miss_index.push_back(i);
-      }
-    }
-    if (!misses.empty()) {
-      auto fetched = co_await inner_.fetch_many(std::move(misses));
-      for (std::size_t j = 0; j < fetched.size(); ++j) {
-        if (fetched[j]) {
-          cache_.put(refs[miss_index[j]], fetched[j].value(), sim_.now());
-        }
-        slots[miss_index[j]] = std::move(fetched[j]);
-      }
-    }
-    std::vector<Result<VersionedValue>> out;
-    out.reserve(refs.size());
-    for (auto& slot : slots) out.push_back(std::move(*slot));
-    co_return out;
-  }
-
-  [[nodiscard]] Simulator& sim() override { return sim_; }
 
  private:
-  SetView& inner_;
-  Simulator& sim_;
-  mutable ObjectCache cache_;
   std::optional<std::vector<ObjectRef>> hoarded_membership_;
   HoardStats stats_;
   bool served_from_hoard_ = false;

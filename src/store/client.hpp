@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "net/rpc.hpp"
@@ -117,13 +118,20 @@ class RepositoryClient {
 
   // -- membership writes (always at the responsible fragment primary) -------
 
-  Task<Result<bool>> add(CollectionId id, ObjectRef ref);
-  Task<Result<bool>> remove(CollectionId id, ObjectRef ref);
+  Task<Result<bool>> add(CollectionId id, ObjectRef ref) {
+    return mutate(id, ref, msg::MembershipRequest::Op::kAdd);
+  }
+  Task<Result<bool>> remove(CollectionId id, ObjectRef ref) {
+    return mutate(id, ref, msg::MembershipRequest::Op::kRemove);
+  }
 
   // -- object data -----------------------------------------------------------
 
   /// Fetches the payload behind `ref` from its home node.
-  Task<Result<VersionedValue>> fetch(ObjectRef ref);
+  Task<Result<VersionedValue>> fetch(ObjectRef ref) {
+    return call<VersionedValue>(ref.home(), methods_.fetch,
+                                msg::FetchRequest{ref.id()});
+  }
 
   /// Fetches many payloads at once: groups the refs by home node, issues one
   /// batched store.fetch_batch RPC per node (all nodes in parallel), and
@@ -133,24 +141,35 @@ class RepositoryClient {
       std::vector<ObjectRef> refs);
 
   /// Writes the payload behind `ref`; returns the new version.
-  Task<Result<std::uint64_t>> put(ObjectRef ref, std::string data);
+  Task<Result<std::uint64_t>> put(ObjectRef ref, std::string data) {
+    return call<std::uint64_t>(ref.home(), methods_.put,
+                               msg::PutRequest{ref.id(), std::move(data)});
+  }
 
   // -- locking (the strong-semantics substrate) ------------------------------
 
   /// Freezes every fragment primary, in ascending node order (deadlock
   /// avoidance). On partial failure, releases what was taken.
-  Task<Result<void>> freeze_all(CollectionId id);
+  Task<Result<void>> freeze_all(CollectionId id) {
+    return set_locks(id, Lock::kFreeze, true);
+  }
 
   /// Releases this client's freezes (best effort; lease expiry is the
   /// backstop if a release cannot be delivered).
-  Task<void> unfreeze_all(CollectionId id);
+  Task<void> unfreeze_all(CollectionId id) {
+    (void)co_await set_locks(id, Lock::kFreeze, false);
+  }
 
   /// Pins every fragment grow-only (section 3.3 ghost-delete variant):
   /// additions proceed, removals are deferred until unpin_all.
-  Task<Result<void>> pin_all(CollectionId id);
+  Task<Result<void>> pin_all(CollectionId id) {
+    return set_locks(id, Lock::kPin, true);
+  }
 
   /// Releases this client's pins (best effort).
-  Task<void> unpin_all(CollectionId id);
+  Task<void> unpin_all(CollectionId id) {
+    (void)co_await set_locks(id, Lock::kPin, false);
+  }
 
   // -- observability ---------------------------------------------------------
 
@@ -185,10 +204,14 @@ class RepositoryClient {
   };
   using CacheKey = std::tuple<CollectionId, std::size_t, NodeId>;
 
-  /// Folds one fragment reply into the cache entry for `key`, counting it in
-  /// the read stats; returns the entry's materialised members.
+  /// Folds one fragment reply into the cache entry for `key`; returns the
+  /// entry's materialised members.
   const std::vector<ObjectRef>& absorb_delta(const CacheKey& key,
                                              msg::DeltaReply reply);
+
+  /// The one counting site for fragment reads (stats, last_read_*, metrics).
+  /// `cached`: read through the delta cache, where a full reply is a miss.
+  void count_fragment_read(const msg::DeltaReply& reply, bool cached);
 
   /// Host to read `fragment` from under the current policy; nullopt if no
   /// host is reachable.
@@ -197,6 +220,9 @@ class RepositoryClient {
 
   Task<Result<bool>> mutate(CollectionId id, ObjectRef ref,
                             msg::MembershipRequest::Op op);
+  /// One home-primary write attempt against the current placement.
+  Task<Result<bool>> mutate_at_primary(CollectionId id, ObjectRef ref,
+                                       msg::MembershipRequest::Op op);
 
   /// Current placement of `id`: the attached directory's cached view, or the
   /// Repository's authoritative map when none is attached.
@@ -211,14 +237,25 @@ class RepositoryClient {
   /// is attached (authoritative resolution cannot be stale).
   Task<bool> heal_wrong_epoch(CollectionId id, const Failure& failure);
 
-  /// One read_all fan-out attempt (the pre-placement read_all body);
-  /// read_all wraps it with the wrong-epoch retry.
+  /// The one wrong-epoch retry: runs `attempt()`, and once more against the
+  /// refreshed placement if it fails kWrongEpoch and heal_wrong_epoch agrees.
+  template <typename Attempt>
+  std::invoke_result_t<Attempt&> retry_wrong_epoch(CollectionId id,
+                                                   Attempt attempt);
+
+  /// One read_all fan-out attempt; read_all wraps it with the retry.
   Task<Result<std::vector<ObjectRef>>> read_all_attempt(CollectionId id);
 
-  /// Quorum fragment read: scatter to primary+replicas, gather the first
-  /// `quorum` successful replies, return the freshest (highest version).
-  Task<Result<msg::SnapshotReply>> read_fragment_quorum(
-      CollectionId id, const FragmentMeta& fragment);
+  /// One read_fragment attempt against the current placement.
+  Task<Result<msg::SnapshotReply>> read_fragment_once(CollectionId id,
+                                                      std::size_t fragment);
+
+  enum class Lock { kFreeze, kPin };
+
+  /// The one lock loop behind freeze_all, pin_all and their releases: takes
+  /// (or releases) `lock` at every fragment primary. A refused take releases
+  /// every lock already taken, in the same order, and reports the refusal.
+  Task<Result<void>> set_locks(CollectionId id, Lock lock, bool take);
 
   template <typename Resp, typename Req>
   Task<Result<Resp>> call(NodeId to, MethodId method, Req request) {
